@@ -57,11 +57,7 @@ _RNG_NOTE = (
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Normalized arguments of one CLI invocation.
-
-    tol is recorded for provenance (flag default 1e-9) but the library
-    tolerances themselves are fixed by the operations' contracts.
-    """
+    """Normalized arguments of one CLI invocation."""
 
     command: str
     model_path: Optional[str] = None
@@ -72,7 +68,6 @@ class RunManifest:
     N: Optional[int] = None
     steps: Optional[int] = None
     seed: Optional[int] = None
-    tol: float = 1e-9
     output_path: Optional[str] = None
     kind: Optional[str] = None
     mode: str = "robust"
@@ -251,8 +246,6 @@ def _add_common(sub, model=True):
     if model:
         sub.add_argument("--model", required=True, help="model JSON file")
     sub.add_argument("--out", dest="out", default=None, help="output file (default stdout)")
-    sub.add_argument("--tol", type=float, default=1e-9,
-                     help="tolerance recorded in the run manifest (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +317,6 @@ def _manifest_from(args: argparse.Namespace) -> RunManifest:
         N=get("N"),
         steps=get("steps"),
         seed=get("seed"),
-        tol=get("tol", 1e-9),
         output_path=get("out"),
         kind=get("kind"),
         mode=get("mode", "robust"),

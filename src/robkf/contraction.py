@@ -12,7 +12,6 @@ provably converges to a unique fixed point.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +45,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PHI_SEARCH_REL_TOL = 1e-6
 _PHI_EDGE = 1e-9
 
 
@@ -89,7 +87,7 @@ class DownsampledSystem:
     O_N_R), the block noise and impulse-response matrices (D_N, H_N,
     L_N), the derived J_N and Omega_N, and the threshold tilde_phi_N
     above which the lifted map's domain collapses. G_N, Z, T, and A_N
-    are cached intermediates reused by the map and the phi search.
+    are cached intermediates reused by the map and by find_phi_N.
     """
 
     model: NormalizedModel
@@ -139,17 +137,18 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     R_N = np.hstack([powers[j] @ model.B for j in range(N)])
     O_N = np.vstack([model.C @ powers[N - 1 - i] for i in range(N)])
     O_N_R = np.vstack([powers[N - 1 - i] for i in range(N)])
-    D_N = np.kron(np.eye(N), model.D)
     H_N = np.zeros((N * p, N * m))
+    for i in range(N):
+        for j in range(i + 1, N):
+            H_N[i * p:(i + 1) * p, j * m:(j + 1) * m] = model.C @ powers[j - i - 1] @ model.B
+    DD_N = np.kron(np.eye(N), model.D @ model.D.T)
+    G_N = _linalg.sym(DD_N + H_N @ H_N.T)
+    # factored before L_N and D_N exist, so a failing build holds less
+    G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
     L_N = np.zeros((N * n, N * m))
     for i in range(N):
         for j in range(i + 1, N):
-            k = j - i
-            H_N[i * p:(i + 1) * p, j * m:(j + 1) * m] = model.C @ powers[k - 1] @ model.B
-            L_N[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[k - 1] @ model.B
-    DD_N = D_N @ D_N.T
-    G_N = _linalg.sym(DD_N + H_N @ H_N.T)
-    G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
+            L_N[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[j - i - 1] @ model.B
     J_N = O_N_R - L_N @ H_N.T @ G_inv_O
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
     Z = _linalg.sym(np.eye(N * m) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"))
@@ -165,6 +164,7 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     if N >= n and not _linalg.is_spd(W0):
         raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
 
+    D_N = np.kron(np.eye(N), model.D)
     return DownsampledSystem(
         model=model, N=N, R_N=R_N, O_N=O_N, O_N_R=O_N_R, D_N=D_N, H_N=H_N,
         L_N=L_N, J_N=J_N, Omega_N=Omega_N, tilde_phi_N=tilde_phi_N,
@@ -228,63 +228,36 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
     return _linalg.sym(alpha @ X @ alpha.T + W)
 
 
-def _phi_feasible(ds: DownsampledSystem, phi: float) -> bool:
-    # ill-conditioned solves near the PD boundary must count as
-    # infeasible, not return garbage, so promote LinAlgWarning
-    Nn = ds.L_N.shape[0]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", la.LinAlgWarning)
-            Omega, _, W = _reweighted_blocks(ds, phi * np.eye(Nn))
-    except (la.LinAlgError, la.LinAlgWarning, NotSPD):
-        return False
-    return _linalg.is_spd(Omega) and _linalg.is_spd(W)
-
-
-def find_phi_N(ds: DownsampledSystem, rel_tol: float = _PHI_SEARCH_REL_TOL) -> float:
+def find_phi_N(ds: DownsampledSystem) -> float:
     """Largest scalar phi keeping the lifted map's Omega and W both PD.
 
-    Bisection over (0, tilde_phi_N), justified by the monotonicity of
-    Omega (nonincreasing) and W (nondecreasing) in the reweighting. The
-    PD predicate is plain Cholesky success: no eigenvalue slack, and any
-    failed or non-finite solve counts as infeasible.
+    Closed form from one symmetric eigenproblem. By the Schur
+    complement, Omega(phi) = Omega_N − J_Nᵀ(phi⁻¹I − T)⁻¹J_N is PD
+    exactly when phi < 1/lam_max(T + J_N Omega_N⁻¹ J_Nᵀ), and
+    W(phi) = R_N Q(phi)⁻¹ R_Nᵀ is PD for every phi < tilde_phi_N when
+    R_N has full row rank. The threshold is returned a relative 1e-9
+    inside that strict edge, and capped the same distance below
+    tilde_phi_N, where the map's domain ends.
 
     Raises
     ------
     SearchFailed
-        If no phi in the open interval passes, which signals a
-        degenerate or numerically broken model.
+        If Omega_N is not PD or R_N lacks full row rank, so that no
+        positive phi is feasible (possible only for N < n).
     """
-    if np.isfinite(ds.tilde_phi_N):
-        hi = ds.tilde_phi_N * (1.0 - _PHI_EDGE)
-        if _phi_feasible(ds, hi):
-            return hi
-    else:
-        # no finite threshold (L_N = 0): bracket by doubling instead
-        scale = _linalg.eigvalsh_sym(ds.R_N @ ds.R_N.T)[-1]
-        hi = 1.0 / max(scale, 1e-300)
-        doubled = 0
-        while _phi_feasible(ds, hi) and doubled < 200:
-            hi *= 2.0
-            doubled += 1
-        if doubled == 200:
-            log.warning("phi search: feasibility never failed while doubling; returning %e", hi)
-            return hi
-    lo = 0.0
-    for _ in range(200):
-        if (hi - lo) <= rel_tol * hi or hi < 1e-300:
-            break
-        mid = 0.5 * (lo + hi)
-        if _phi_feasible(ds, mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
-        raise SearchFailed(
-            "no feasible phi found in (0, tilde_phi_N); the lifted system is degenerate"
-        )
-    log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", lo, ds.tilde_phi_N)
-    return lo
+    n = ds.model.n
+    # for N >= n, build_downsampled has already required W(0) to be PD
+    if ds.N < n and _linalg.rank_from_singular_values(ds.R_N) < n:
+        raise SearchFailed(f"R_N has rank below n={n} at N={ds.N}; W is singular for every phi")
+    try:
+        L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")
+    except NotSPD as exc:
+        raise SearchFailed(f"Omega_N is singular at N={ds.N}; no phi > 0 is feasible") from exc
+    X = la.solve_triangular(L, ds.J_N.T, lower=True)
+    t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
+    phi = min((1.0 - _PHI_EDGE) / t_max, ds.tilde_phi_N * (1.0 - _PHI_EDGE))
+    log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", phi, ds.tilde_phi_N)
+    return float(phi)
 
 
 @dataclass(frozen=True)
@@ -338,8 +311,9 @@ def certify(
     """Certify convergence of the robust (or tau=1 risk-sensitive) filter.
 
     Runs q standard Riccati steps from B Bᵀ to get the floor P_bar_q
-    that every robust trajectory dominates, finds the reweighting
-    threshold phi_N on the N-block lifted system, converts it through
+    that every robust trajectory dominates, computes the reweighting
+    threshold phi_N of the N-block lifted system in closed form
+    (``find_phi_N``), converts it through
     sigma_n = lambda_min(P_bar_q) into the risk bound theta_bar, and
     evaluates the budget c_max = gamma(P_bar_q, theta_bar, tau).
 

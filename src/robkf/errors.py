@@ -100,7 +100,8 @@ class MaxIterExceeded(NumericError):
 
 
 class SearchFailed(NumericError):
-    """No feasible value found in a certified search interval."""
+    """No positive phi_N exists: the closed form's Omega_N is singular or
+    R_N lacks full row rank (possible only for a block length N < n)."""
 
 
 class RiskSensitiveModeUnsupported(RobkfError):

@@ -28,7 +28,7 @@ from robkf.errors import (
     ModelIOError,
 )
 from robkf.model import StateSpaceModel, Trajectory, simulate
-from robkf.riccati import gain, predict_covariance
+from robkf.riccati import _gain_and_prediction
 
 __all__ = [
     "FilterConfig",
@@ -174,9 +174,8 @@ def run_filter(
     estimates[0] = xhat
     V_seq[0] = V
     for k in range(T):
-        G = gain(model, V)
+        G, P = _gain_and_prediction(model, V)
         xhat = model.A @ xhat + G @ (y[k] - model.C @ xhat)
-        P = predict_covariance(model, V)
         V, theta = _next_v(model, config, P)
         estimates[k + 1] = xhat
         gains[k] = G

@@ -21,6 +21,7 @@ import numpy as np
 
 from robkf import _linalg
 from robkf.errors import (
+    ConfigError,
     DimensionMismatch,
     ModelError,
     ModelIOError,
@@ -218,7 +219,7 @@ def powers_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
 
 def _check_block_count(N: int) -> None:
     if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"block count N must be a positive integer, got {N!r}")
+        raise ConfigError(f"block count N must be a positive integer, got {N!r}")
 
 
 def normalize(model: StateSpaceModel) -> NormalizedModel:
@@ -279,7 +280,7 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     result is a deterministic function of (model, steps, seed).
     """
     if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+        raise ConfigError(f"steps must be nonnegative, got {steps}")
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
     x = model.x0_mean + L0 @ rng.standard_normal(model.n)

@@ -112,15 +112,20 @@ def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     return G
 
 
+def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray):
+    """Gain G at V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ, from one solve of S."""
+    V = _linalg.sym(np.asarray(V, dtype=float))
+    G, S, BBt = _gain_and_innovation(model, V)
+    return G, _linalg.sym(model.A @ V @ model.A.T - G @ S @ G.T + BBt)
+
+
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Gain-form covariance propagation A V Aᵀ − G S Gᵀ + B Bᵀ.
 
     Algebraically identical to ``standard_riccati`` on uncorrelated
     models but valid for singular V and for B Dᵀ ≠ 0.
     """
-    V = _linalg.sym(np.asarray(V, dtype=float))
-    G, S, BBt = _gain_and_innovation(model, V)
-    return _linalg.sym(model.A @ V @ model.A.T - G @ S @ G.T + BBt)
+    return _gain_and_prediction(model, V)[1]
 
 
 def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:

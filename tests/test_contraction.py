@@ -263,6 +263,63 @@ def test_find_phi_search_failed(example_normalized, caplog):
         find_phi_N(ds)
 
 
+def _lambda_min_schur_omega(ds, phi):
+    # Omega(phi) = Omega_N - J_Nᵀ (phi⁻¹ I - T)⁻¹ J_N, valid for phi < tilde_phi_N
+    t, U = np.linalg.eigh(ds.T)
+    UJ = U.T @ ds.J_N
+    Omega = ds.Omega_N - UJ.T @ (UJ / (1.0 / phi - t)[:, None])
+    return np.min(np.linalg.eigvalsh(0.5 * (Omega + Omega.T)))
+
+
+def test_find_phi_closed_form_brackets_the_omega_edge(example_normalized, make_model):
+    ds = build_downsampled(example_normalized, 50)
+    phi = find_phi_N(ds)
+    assert phi == pytest.approx(1.33345991e-3, rel=1e-6)
+    systems = [ds]
+    rng = np.random.default_rng(11)
+    for n in range(2, 7):
+        model = normalize(make_model(rng, n=n))
+        systems += [build_downsampled(model, N) for N in (n, 20)]
+    cap_bound = 0
+    for ds in systems:
+        phi = find_phi_N(ds)
+        assert 0 < phi < ds.tilde_phi_N
+        assert _lambda_min_schur_omega(ds, 0.999 * phi) > 0
+        if phi == ds.tilde_phi_N * (1.0 - 1e-9):
+            cap_bound += 1
+        else:
+            # the Schur form holds only below tilde_phi_N, which on the
+            # example lies 1.7e-5 relative above phi_N
+            above = min(1.001 * phi, 0.5 * (phi + ds.tilde_phi_N))
+            assert _lambda_min_schur_omega(ds, above) < 0
+    assert cap_bound < len(systems)
+
+
+def test_find_phi_without_finite_tilde_phi():
+    # N = 1 leaves L_N = 0, so T = 0 and tilde_phi_N is infinite; the
+    # closed form reduces to lam_min(Omega_1) = C²/R
+    model = normalize(StateSpaceModel(
+        A=[[0.5]], B=[[1.0, 0.0]], C=[[2.0]], D=[[0.0, 0.5]],
+        x0_mean=np.zeros(1), V0=np.eye(1)))
+    ds = build_downsampled(model, 1)
+    assert ds.tilde_phi_N == float("inf")
+    assert find_phi_N(ds) == pytest.approx(16.0, rel=1e-8)
+
+
+def test_find_phi_rank_deficient_reachability_fails(caplog):
+    # one noise column in B: at N = 1 Omega_1 = I is PD, but R_1 = B has
+    # rank 1 < n, so W is singular for every phi
+    model = normalize(StateSpaceModel(
+        A=np.diag([0.5, 0.3]), B=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        C=np.eye(2), D=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        x0_mean=np.zeros(2), V0=np.eye(2)))
+    with caplog.at_level(logging.ERROR, logger="robkf.contraction"):
+        ds = build_downsampled(model, 1)
+    assert np.min(np.linalg.eigvalsh(ds.Omega_N)) > 0
+    with pytest.raises(SearchFailed):
+        find_phi_N(ds)
+
+
 def test_certify_goldens(example_model):
     for tau, want in [(0.0, 0.122), (0.5, 0.101), (1.0, 0.0862)]:
         cert = certify(example_model, tau)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robkf import (
+    ConfigError,
     DimensionMismatch,
     ModelError,
     ModelIOError,
@@ -223,6 +224,14 @@ def test_simulate_zero_steps(example_model):
     traj = simulate(example_model, 0, seed=1)
     assert traj.states.shape == (0, 2)
     assert traj.observations.shape == (0, 1)
+
+
+def test_bad_block_count_and_steps_raise_config_error(example_model):
+    for build in (reachability_matrix, observability_matrix, powers_matrix):
+        with pytest.raises(ConfigError):
+            build(example_model, 0)
+    with pytest.raises(ConfigError):
+        simulate(example_model, -1, 0)
 
 
 def test_trajectory_length_mismatch():
