@@ -261,18 +261,21 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     """Least-favorable reweighting of the covariance P.
 
-    Computes L f(Lᵀ L) Lᵀ with L the lower Cholesky factor of P and
+    Computes P f(P), where
 
-        f(M) = (I - theta (1-tau) M)^{1/(tau-1)}   for tau < 1,
-        f(M) = exp(theta M)                        for tau = 1,
+        f(P) = (I - theta (1-tau) P)^{1/(tau-1)}   for tau < 1,
+        f(P) = exp(theta P)                        for tau = 1.
 
-    the matrix functions evaluated by symmetric eigendecomposition. The
-    value does not depend on which factor L of P is used. For theta > 0
+    f(P) commutes with P, so with P = U diag(w) Uᵀ the result is
+    U diag(w f(w)) Uᵀ, from one symmetric eigendecomposition of P; it
+    equals L f(Lᵀ L) Lᵀ for every factor L with P = L Lᵀ. For theta > 0
     the result dominates P strictly (V > P in the Loewner order); at
     theta = 0 it equals P.
 
     Raises
     ------
+    NotSPD
+        If P is not positive definite.
     DomainViolation
         If tau < 1 and theta (1-tau) sigma1(P) >= 1, or the tau = 1
         exponential overflows.
@@ -284,8 +287,9 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if theta == 0.0:
         return _linalg.sym(P)
-    L = _linalg.cholesky_spd(P, "P")
-    w, U = _linalg.eigh_sym(L.T @ L)
+    w, U = _linalg.eigh_sym(P)
+    if w[0] <= 0.0:
+        raise NotSPD("P is not symmetric positive definite")
     if tau < 1.0:
         y = 1.0 - theta * (1.0 - tau) * w
         if np.min(y) <= 0.0:
@@ -301,7 +305,7 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
                 raise DomainViolation(
                     f"theta={theta:.6e} overflows exp(theta P)"
                 ) from exc
-    return _linalg.sym(L @ (U * f) @ U.T @ L.T)
+    return _linalg.sym((U * (w * f)) @ U.T)
 
 
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:

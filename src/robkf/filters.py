@@ -8,27 +8,22 @@ and differ only in how the gain covariance V_k is produced from the
 prediction covariance P_k: the standard filter uses V_k = P_k, the
 robust filter re-solves theta_k from a fixed divergence budget c at
 every step, and the risk-sensitive filter applies one fixed theta
-throughout.
+throughout. ``FilterConfig`` and that reweighting step live in the
+riccati module, which the fixed-point iteration shares; this module
+re-exports ``FilterConfig``.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from robkf.divergence import check_tau, solve_theta, v_update
-from robkf.errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainViolation,
-    ModelError,
-    ModelIOError,
-)
+from robkf.errors import ConfigError, DimensionMismatch, ModelError, ModelIOError
 from robkf.model import StateSpaceModel, Trajectory, simulate
-from robkf.riccati import _gain_and_prediction
+from robkf.riccati import FilterConfig, _gain_and_prediction, _reweight
 
 __all__ = [
     "FilterConfig",
@@ -38,66 +33,6 @@ __all__ = [
     "compare_filters",
     "load_observations",
 ]
-
-_KINDS = ("standard", "robust", "risk_sensitive")
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Which filter to run and with what parameters.
-
-    standard takes no parameters, robust takes (tau, c > 0), and
-    risk_sensitive takes (tau, theta > 0). Anything else raises
-    ConfigError at construction.
-    """
-
-    kind: str
-    tau: Optional[float] = None
-    c: Optional[float] = None
-    theta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown filter kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "standard":
-            if any(v is not None for v in (self.tau, self.c, self.theta)):
-                raise ConfigError("standard filter takes no tau, c, or theta")
-            return
-        try:
-            object.__setattr__(self, "tau", check_tau(self.tau))
-        except DomainViolation as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.kind == "robust":
-            if self.theta is not None:
-                raise ConfigError("robust filter takes c, not theta")
-            if self.c is None or not np.isfinite(self.c) or float(self.c) <= 0.0:
-                raise ConfigError(f"robust filter needs a budget c > 0, got {self.c!r}")
-            object.__setattr__(self, "c", float(self.c))
-        else:
-            if self.c is not None:
-                raise ConfigError("risk_sensitive filter takes theta, not c")
-            if self.theta is None or not np.isfinite(self.theta) or float(self.theta) <= 0.0:
-                raise ConfigError(f"risk_sensitive filter needs theta > 0, got {self.theta!r}")
-            object.__setattr__(self, "theta", float(self.theta))
-
-    @classmethod
-    def standard(cls) -> "FilterConfig":
-        return cls(kind="standard")
-
-    @classmethod
-    def robust(cls, tau: float, c: float) -> "FilterConfig":
-        return cls(kind="robust", tau=tau, c=c)
-
-    @classmethod
-    def risk_sensitive(cls, tau: float, theta: float) -> "FilterConfig":
-        return cls(kind="risk_sensitive", tau=tau, theta=theta)
-
-    def label(self) -> str:
-        if self.kind == "standard":
-            return "kf"
-        if self.kind == "robust":
-            return "rkf_tau" + f"{self.tau:g}".replace(".", "")
-        return "rskf_tau" + f"{self.tau:g}".replace(".", "")
 
 
 @dataclass(frozen=True)
@@ -123,16 +58,6 @@ class FilterTrajectory:
     @property
     def steps(self) -> int:
         return self.gains.shape[0]
-
-
-def _next_v(model: StateSpaceModel, config: FilterConfig, P: np.ndarray):
-    if config.kind == "standard":
-        return P, 0.0
-    if config.kind == "robust":
-        theta = solve_theta(P, config.c, config.tau)
-    else:
-        theta = config.theta
-    return v_update(P, theta, config.tau), float(theta)
 
 
 def run_filter(
@@ -176,7 +101,7 @@ def run_filter(
     for k in range(T):
         G, P = _gain_and_prediction(model, V)
         xhat = model.A @ xhat + G @ (y[k] - model.C @ xhat)
-        V, theta = _next_v(model, config, P)
+        V, theta = _reweight(config, P)
         estimates[k + 1] = xhat
         gains[k] = G
         P_seq[k] = P

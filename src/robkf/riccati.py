@@ -1,10 +1,14 @@
-"""Riccati maps and fixed-point iteration.
+"""Riccati maps, the covariance recursions built on them, and their fixed points.
 
 Three covariance recursions share one skeleton: propagate a conditional
 covariance V through the dynamics, then reweight the prediction P into
-the next V. The standard filter keeps V = P, the robust filter solves
-for the theta meeting its divergence budget c at every step, and the
-risk-sensitive filter applies a fixed theta.
+the next V. ``FilterConfig`` names the recursion and its parameters, and
+``_reweight`` is the one reweighting step every caller shares: the
+standard filter keeps V = P, the robust filter solves for the theta
+meeting its divergence budget c at every step, and the risk-sensitive
+filter applies a fixed theta. ``filters.run_filter``,
+``iterate_to_fixed_point`` and the single-step recursions all go
+through it.
 
 Convergence is measured in the Thompson metric, where the theory
 guarantees contraction; see the contraction module for certificates.
@@ -12,12 +16,13 @@ guarantees contraction; see the contraction module for certificates.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from robkf import _linalg
-from robkf.divergence import check_tau, solve_theta, v_update, phi_gap
+from robkf.divergence import solve_theta, v_update, phi_gap
 from robkf.errors import (
     ConfigError,
     DomainViolation,
@@ -29,6 +34,7 @@ from robkf.errors import (
 from robkf.model import StateSpaceModel
 
 __all__ = [
+    "FilterConfig",
     "RiccatiStep",
     "FixedPointReport",
     "standard_riccati",
@@ -42,10 +48,87 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_STEPPERS = ("standard", "robust", "risk_sensitive")
+_KINDS = ("standard", "robust", "risk_sensitive")
 # Relative disagreement between the two algebraic forms of the same map
 # beyond which the matrix is considered too ill-conditioned to trust.
 _FORM_GATE = 1e-6
+
+
+def _as_float(value) -> float:
+    """float(value), or nan when value is missing or not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+@dataclass(frozen=True)
+class FilterConfig:
+    """Which covariance recursion to run and with what parameters.
+
+    standard takes no parameters, robust takes (tau, c > 0), and
+    risk_sensitive takes (tau, theta > 0), with tau in [0, 1] and c,
+    theta finite. Anything else, missing or non-numeric values
+    included, raises ConfigError at construction.
+    """
+
+    kind: str
+    tau: float | None = None
+    c: float | None = None
+    theta: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown filter kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind == "standard":
+            if any(v is not None for v in (self.tau, self.c, self.theta)):
+                raise ConfigError("standard filter takes no tau, c, or theta")
+            return
+        param, other = ("c", "theta") if self.kind == "robust" else ("theta", "c")
+        if getattr(self, other) is not None:
+            raise ConfigError(f"{self.kind} filter takes {param}, not {other}")
+        tau = _as_float(self.tau)
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"{self.kind} filter needs tau in [0, 1], got {self.tau!r}")
+        value = _as_float(getattr(self, param))
+        if not 0.0 < value < math.inf:
+            raise ConfigError(
+                f"{self.kind} filter needs a finite {param} > 0, got {getattr(self, param)!r}"
+            )
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, param, value)
+
+    @classmethod
+    def standard(cls) -> "FilterConfig":
+        return cls(kind="standard")
+
+    @classmethod
+    def robust(cls, tau: float, c: float) -> "FilterConfig":
+        return cls(kind="robust", tau=tau, c=c)
+
+    @classmethod
+    def risk_sensitive(cls, tau: float, theta: float) -> "FilterConfig":
+        return cls(kind="risk_sensitive", tau=tau, theta=theta)
+
+    def label(self) -> str:
+        if self.kind == "standard":
+            return "kf"
+        if self.kind == "robust":
+            return "rkf_tau" + f"{self.tau:g}".replace(".", "")
+        return "rskf_tau" + f"{self.tau:g}".replace(".", "")
+
+
+def _reweight(config: FilterConfig, P: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reweight the prediction covariance P into the conditional covariance V.
+
+    Returns (V, theta): V = P and theta = 0 for the standard kind, theta
+    solved against the budget c for the robust kind, the fixed theta for
+    the risk-sensitive kind.
+    """
+    if config.kind == "standard":
+        return P, 0.0
+    theta = solve_theta(P, config.c, config.tau) if config.kind == "robust" else config.theta
+    return v_update(P, theta, config.tau), theta
 
 
 @dataclass(frozen=True)
@@ -132,26 +215,20 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     """Information-form Riccati map A (P⁻¹ + Cᵀ(DDᵀ)⁻¹C)⁻¹ Aᵀ + B Bᵀ.
 
     Requires an uncorrelated model (B Dᵀ = 0). Singular PSD inputs are
-    handled through the equivalent measurement-space solve, so the map
-    can be started at B Bᵀ.
+    handed to the gain form ``predict_covariance``, the same map on
+    uncorrelated models, so the map can be started at B Bᵀ.
     """
     _require_uncorrelated(model)
     P = np.asarray(P, dtype=float)
-    BBt = model.B @ model.B.T
     try:
         Pi = _linalg.inv_spd(P, "P")
     except NotSPD:
         w = _linalg.eigvalsh_sym(P)
         if w[0] < -1e-10 * max(1.0, abs(w[-1])):
             raise
-        Ps = _linalg.sym(P)
-        DDt = model.D @ model.D.T
-        S = _linalg.sym(model.C @ Ps @ model.C.T + DDt)
-        CP = model.C @ Ps
-        X = Ps - CP.T @ _linalg.solve_spd(S, CP, "innovation covariance")
-        return _linalg.sym(model.A @ X @ model.A.T + BBt)
+        return predict_covariance(model, P)
     X = _linalg.inv_spd(Pi + _observation_information(model), "P⁻¹ + Cᵀ(DDᵀ)⁻¹C")
-    return _linalg.sym(model.A @ X @ model.A.T + BBt)
+    return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
 
 
 def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -187,6 +264,23 @@ def _propagate_checked(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     return P_info
 
 
+def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
+    """Reweight P, take the gain there, propagate to P_next, reweight P_next."""
+    _require_uncorrelated(model)
+    V_in, _ = _reweight(config, np.asarray(P, dtype=float))
+    G = gain(model, V_in)
+    P_next = _propagate_checked(model, V_in)
+    V, theta = _reweight(config, P_next)
+    return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
+
+
+def _step_config(**params) -> FilterConfig:
+    try:
+        return FilterConfig(**params)
+    except ConfigError as exc:
+        raise DomainViolation(str(exc)) from exc
+
+
 def robust_step(model: StateSpaceModel, P: np.ndarray, c: float, tau: float) -> RiccatiStep:
     """Advance the robust recursion by one step.
 
@@ -195,17 +289,10 @@ def robust_step(model: StateSpaceModel, P: np.ndarray, c: float, tau: float) -> 
     to P_next; then solve theta at P_next and reweight again so the
     returned (P_next, V, theta, Phi) refer to one common step index.
     The returned gain G is the one applied during this step, i.e. the
-    gain at the incoming V.
+    gain at the incoming V. A tau outside [0, 1] or a c that is not
+    finite and positive raises DomainViolation.
     """
-    _require_uncorrelated(model)
-    P = np.asarray(P, dtype=float)
-    theta_in = solve_theta(P, c, tau)
-    V_in = v_update(P, theta_in, tau)
-    G = gain(model, V_in)
-    P_next = _propagate_checked(model, V_in)
-    theta = solve_theta(P_next, c, tau)
-    V = v_update(P_next, theta, tau)
-    return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
+    return _step(model, _step_config(kind="robust", tau=tau, c=c), P)
 
 
 def risk_sensitive_step(
@@ -215,19 +302,10 @@ def risk_sensitive_step(
 
     For 0 < tau < 1 the reweighting domain sigma1(P) < 1/(theta (1-tau))
     is checked on both the incoming and outgoing covariance; leaving it
-    raises DomainViolation (detected, not prevented).
+    raises DomainViolation (detected, not prevented), as does a tau
+    outside [0, 1] or a theta that is not finite and positive.
     """
-    _require_uncorrelated(model)
-    check_tau(tau)
-    theta = float(theta)
-    if theta <= 0.0:
-        raise DomainViolation(f"theta must be positive, got {theta}")
-    P = np.asarray(P, dtype=float)
-    V_in = v_update(P, theta, tau)
-    G = gain(model, V_in)
-    P_next = _propagate_checked(model, V_in)
-    V = v_update(P_next, theta, tau)
-    return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
+    return _step(model, _step_config(kind="risk_sensitive", tau=tau, theta=theta), P)
 
 
 def _identity_residual(model: StateSpaceModel, P: np.ndarray, V: np.ndarray, G: np.ndarray) -> float:
@@ -251,10 +329,9 @@ def iterate_to_fixed_point(
     """Iterate a covariance recursion until the Thompson step size drops below tol.
 
     ``start`` is the initial conditional covariance V₀: the first
-    prediction is propagated from it, then each cycle reweights
-    according to the stepper ("standard" keeps V = P, "robust" solves
-    theta against the budget c, "risk_sensitive" applies the fixed
-    theta). Stops when d_T(P_k, P_{k+1}) <= tol.
+    prediction is propagated from it, then each cycle reweights it as
+    ``FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)`` does in a
+    filter run. Stops when d_T(P_k, P_{k+1}) <= tol.
 
     Returns
     -------
@@ -268,16 +345,10 @@ def iterate_to_fixed_point(
     MaxIterExceeded
         With the partial report attached as ``report``.
     ConfigError
-        If the stepper name or its parameters are inconsistent.
+        If the stepper and its parameters do not make a FilterConfig, or
+        tol is not positive.
     """
-    if stepper not in _STEPPERS:
-        raise ConfigError(f"unknown stepper {stepper!r}; expected one of {_STEPPERS}")
-    if stepper == "robust" and (tau is None or c is None):
-        raise ConfigError("robust stepper needs both tau and c")
-    if stepper == "risk_sensitive" and (tau is None or theta is None):
-        raise ConfigError("risk_sensitive stepper needs both tau and theta")
-    if stepper == "standard" and not (tau is None and c is None and theta is None):
-        raise ConfigError("standard stepper takes no tau, c, or theta")
+    config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     _require_uncorrelated(model)
@@ -296,14 +367,7 @@ def iterate_to_fixed_point(
                 dist = _linalg.thompson_distance(P_prev, P_star)
             except NotSPD:
                 dist = float("inf")
-        if stepper == "robust":
-            th = solve_theta(P_star, c, tau)
-            V = v_update(P_star, th, tau)
-        elif stepper == "risk_sensitive":
-            th = float(theta)
-            V = v_update(P_star, th, tau)
-        else:
-            V = P_star
+        V, th = _reweight(config, P_star)
         P_prev = P_star
         if dist <= tol:
             converged = True
@@ -313,7 +377,7 @@ def iterate_to_fixed_point(
     report = FixedPointReport(
         P_star=P_star,
         V_star=V,
-        theta_star=th,
+        theta_star=None if config.kind == "standard" else th,
         G_star=G_star,
         iterations=iterations,
         final_step_distance=dist,

@@ -89,6 +89,9 @@ def test_config_errors_exit_1(model_file, capsys):
     assert main(["certify", "--model", model_file, "--tau", "2"]) == 1
     assert main(["run", "--model", model_file, "--kind", "robust",
                  "--tau", "0.5", "--steps", "5"]) == 1  # missing --c
+    assert main(["run", "--model", model_file, "--kind", "robust",
+                 "--c", "0.1", "--steps", "3"]) == 1  # missing --tau
+    assert main(["compare", "--model", model_file, "--filter", "robust:c=0.1"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -36,6 +36,11 @@ from conftest import example_matrices
     dict(kind="risk_sensitive", tau=1.0, theta=0.0),
     dict(kind="risk_sensitive", tau=1.0, theta=-0.5),
     dict(kind="risk_sensitive", tau=1.0, theta=0.1, c=0.1),
+    dict(kind="robust", c=0.1),
+    dict(kind="risk_sensitive", theta=0.1),
+    dict(kind="robust", tau="half", c=0.1),
+    dict(kind="robust", tau=0.5, c="small"),
+    dict(kind="risk_sensitive", tau=1.0, theta=[0.1]),
 ])
 def test_filter_config_rejects(bad):
     with pytest.raises(ConfigError):

@@ -247,6 +247,9 @@ def test_max_iter_exceeded_carries_report(example_normalized):
     dict(stepper="standard", tau=0.0),
     dict(stepper="standard", c=0.1),
     dict(stepper="robust", tau=0.5, c=0.1, tol=0.0),
+    dict(stepper="risk_sensitive", tau=1.0, theta=0.0),
+    dict(stepper="robust", tau=1.5, c=0.1),
+    dict(stepper="robust", tau=0.5, c=np.inf),
 ])
 def test_fixed_point_config_errors(example_normalized, kwargs):
     stepper = kwargs.pop("stepper")
