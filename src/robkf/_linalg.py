@@ -36,6 +36,8 @@ def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
         return la.cholesky(sym(M), lower=True)
     except la.LinAlgError as exc:
         raise NotSPD(f"{what} is not symmetric positive definite") from exc
+    except ValueError as exc:  # scipy's finiteness check
+        raise NotSPD(f"{what} has non-finite entries") from exc
 
 
 def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -51,7 +53,7 @@ def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 def is_spd(M: np.ndarray) -> bool:
     try:
         la.cholesky(sym(M), lower=True)
-    except la.LinAlgError:
+    except (la.LinAlgError, ValueError):
         return False
     return bool(np.all(np.isfinite(M)))
 

@@ -10,7 +10,9 @@ robust filter re-solves theta_k from a fixed divergence budget c at
 every step, and the risk-sensitive filter applies one fixed theta
 throughout. ``FilterConfig`` and that reweighting step live in the
 riccati module, which the fixed-point iteration shares; this module
-re-exports ``FilterConfig``.
+re-exports ``FilterConfig``. The covariance side reads no observation,
+so ``run_filter`` takes it whole from ``riccati._covariance_sequence``
+and runs only the state update.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from robkf.errors import ConfigError, DimensionMismatch, ModelError, ModelIOError
 from robkf.model import StateSpaceModel, Trajectory, simulate
-from robkf.riccati import FilterConfig, _gain_and_prediction, _reweight
+from robkf.riccati import FilterConfig, _covariance_sequence
 
 __all__ = [
     "FilterConfig",
@@ -46,6 +48,10 @@ class FilterTrajectory:
     V_seq     : (T+1, n, n) gain covariances V_0 .. V_T, V_0 = model.V0
     theta_seq : (T,) theta_1 .. theta_T paired with V_1 .. V_T; all
                 zero for the standard filter
+    cycle     : (j, period) when V_{j+period} is the first gain
+                covariance equal, bit for bit, to an earlier one, V_j;
+                None when no V repeats within the run. Every row from
+                step j on repeats with that period.
     """
 
     config: FilterConfig
@@ -54,6 +60,7 @@ class FilterTrajectory:
     P_seq: np.ndarray
     V_seq: np.ndarray
     theta_seq: np.ndarray
+    cycle: tuple[int, int] | None
 
     @property
     def steps(self) -> int:
@@ -87,30 +94,17 @@ def run_filter(
         raise ModelError("observations contain non-finite values")
 
     T = y.shape[0]
-    n, p = model.n, model.p
-    estimates = np.zeros((T + 1, n))
-    gains = np.zeros((T, n, p))
-    P_seq = np.zeros((T, n, n))
-    V_seq = np.zeros((T + 1, n, n))
-    theta_seq = np.zeros(T)
-
+    gains, P_seq, V_seq, theta_seq, cycle = _covariance_sequence(model, config, T)
+    estimates = np.zeros((T + 1, model.n))
     xhat = model.x0_mean.copy()
-    V = model.V0.copy()
     estimates[0] = xhat
-    V_seq[0] = V
     for k in range(T):
-        G, P = _gain_and_prediction(model, V)
-        xhat = model.A @ xhat + G @ (y[k] - model.C @ xhat)
-        V, theta = _reweight(config, P)
+        xhat = model.A @ xhat + gains[k] @ (y[k] - model.C @ xhat)
         estimates[k + 1] = xhat
-        gains[k] = G
-        P_seq[k] = P
-        V_seq[k + 1] = V
-        theta_seq[k] = theta
 
     return FilterTrajectory(
         config=config, estimates=estimates, gains=gains,
-        P_seq=P_seq, V_seq=V_seq, theta_seq=theta_seq,
+        P_seq=P_seq, V_seq=V_seq, theta_seq=theta_seq, cycle=cycle,
     )
 
 

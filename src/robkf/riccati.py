@@ -8,7 +8,8 @@ standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
 filter applies a fixed theta. ``filters.run_filter``,
 ``iterate_to_fixed_point`` and the single-step recursions all go
-through it.
+through it; ``_covariance_sequence`` runs a filter's covariance side
+only until its state V first repeats exactly, then copies the cycle.
 
 Convergence is measured in the Thompson metric, where the theory
 guarantees contraction; see the contraction module for certificates.
@@ -129,6 +130,48 @@ def _reweight(config: FilterConfig, P: np.ndarray) -> tuple[np.ndarray, float]:
         return P, 0.0
     theta = solve_theta(P, config.c, config.tau) if config.kind == "robust" else config.theta
     return v_update(P, theta, config.tau), theta
+
+
+def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
+    """The covariance side of a T-step filter run started at V_0 = model.V0.
+
+    Returns (gains, P_seq, V_seq, theta_seq, cycle) shaped as in
+    ``filters.FilterTrajectory``. Step k maps V_k to (G_k, P_{k+1},
+    V_{k+1}, theta_{k+1}) and reads nothing else, so once V_{j+p} equals
+    an earlier V_j byte for byte, every row from step j on repeats with
+    period p. The recursion runs until that first exact repeat and
+    copies the cycle forward; ``cycle`` is (j, p), or None if no V
+    repeats within T steps.
+    """
+    n, p = model.n, model.p
+    gains = np.zeros((T, n, p))
+    P_seq = np.zeros((T, n, n))
+    V_seq = np.zeros((T + 1, n, n))
+    theta_seq = np.zeros(T)
+
+    V = model.V0
+    V_seq[0] = V
+    seen = {V.tobytes(): 0}
+    for k in range(T):
+        G, P = _gain_and_prediction(model, V)
+        V, theta = _reweight(config, P)
+        gains[k] = G
+        P_seq[k] = P
+        V_seq[k + 1] = V
+        theta_seq[k] = theta
+        j = seen.setdefault(V.tobytes(), k + 1)
+        if j <= k:
+            period = k + 1 - j
+            log.debug("%s covariance recursion: V_%d repeats V_%d (period %d); "
+                      "copying the last %d of %d steps", config.kind, k + 1, j, period,
+                      T - k - 1, T)
+            rows = j + np.arange(T - k - 1) % period
+            gains[k + 1:] = gains[rows]
+            P_seq[k + 1:] = P_seq[rows]
+            V_seq[k + 2:] = V_seq[rows + 1]
+            theta_seq[k + 1:] = theta_seq[rows]
+            return gains, P_seq, V_seq, theta_seq, (j, period)
+    return gains, P_seq, V_seq, theta_seq, None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ def test_metric_failures(tmp_path, capsys):
     missing = str(tmp_path / "gone.json")
     assert main(["metric", p, missing]) == 2
     assert f"matrix: {missing} not readable" in capsys.readouterr().err
+
+
+def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
+    # With A's second mode at 100 the N = 100 lifted build overflows to
+    # inf, as the README example's does at N = 2000 (which takes seconds).
+    A, B, C, D = example_matrices()
+    A = np.array(A, dtype=float)
+    A[1, 1] = 100.0
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({
+        "A": A.tolist(), "B": np.asarray(B).tolist(), "C": np.asarray(C).tolist(),
+        "D": np.asarray(D).tolist(), "x0_mean": [0.0, 0.0], "V0": np.eye(2).tolist(),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        rc = main(["certify", "--model", str(path), "--tau", "0.5", "--N", "100"])
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: block innovation covariance has non-finite entries")
 
 
 def test_run_standard_csv(model_file, capsys):

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from robkf import riccati
 from robkf import (
     ConfigError,
     DimensionMismatch,
@@ -15,11 +18,13 @@ from robkf import (
     load_observations,
     normalize,
     run_filter,
+    simulate,
     standard_riccati,
     v_update,
 )
+from robkf.riccati import _gain_and_prediction, _reweight
 
-from conftest import example_matrices
+from conftest import example_matrices, random_model
 
 
 @pytest.mark.parametrize("bad", [
@@ -171,6 +176,122 @@ def test_risk_sensitive_domain_violation_propagates(example_model):
         run_filter(example_model, config, np.zeros((50, 1)))
 
 
+def _reference_run(model, config, y):
+    """Every step of the recursion computed in full, one loop, no replay."""
+    T, n = y.shape[0], model.n
+    estimates, V_seq = np.zeros((T + 1, n)), np.zeros((T + 1, n, n))
+    gains, P_seq, theta_seq = np.zeros((T, n, model.p)), np.zeros((T, n, n)), np.zeros(T)
+    xhat, V = model.x0_mean.copy(), model.V0.copy()
+    estimates[0], V_seq[0] = xhat, V
+    for k in range(T):
+        G, P = _gain_and_prediction(model, V)
+        xhat = model.A @ xhat + G @ (y[k] - model.C @ xhat)
+        V, theta = riccati._reweight(config, P)
+        estimates[k + 1], gains[k], P_seq[k], V_seq[k + 1], theta_seq[k] = xhat, G, P, V, theta
+    return estimates, gains, P_seq, V_seq, theta_seq
+
+
+def _assert_matches_reference(model, config, y):
+    ft = run_filter(model, config, y)
+    want = _reference_run(model, config, y)
+    got = (ft.estimates, ft.gains, ft.P_seq, ft.V_seq, ft.theta_seq)
+    for name, a, b in zip(("estimates", "gains", "P_seq", "V_seq", "theta_seq"), got, want):
+        assert np.array_equal(a, b), name
+    return ft
+
+
+EXAMPLE_CONFIGS = [
+    FilterConfig.standard(),
+    FilterConfig.robust(0.0, 0.12),
+    FilterConfig.robust(0.5, 0.10),
+    FilterConfig.robust(1.0, 0.086),
+    FilterConfig.risk_sensitive(1.0, 1.3e-3),
+]
+
+
+@pytest.mark.parametrize("config", EXAMPLE_CONFIGS, ids=lambda c: c.label())
+def test_replayed_run_is_bit_identical(example_model, config):
+    y = simulate(example_model, 600, seed=4).observations
+    ft = _assert_matches_reference(example_model, config, y)
+    assert ft.cycle is not None
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_replayed_run_is_bit_identical_small_radius_n4(seed):
+    model = random_model(np.random.default_rng(seed), n=4)
+    y = simulate(model, 400, seed=6).observations
+    _assert_matches_reference(model, FilterConfig.robust(0.5, 1e-9), y)
+
+
+def test_replay_boundary_is_bit_identical(example_model):
+    config = FilterConfig.robust(0.5, 0.10)
+    y = simulate(example_model, 300, seed=2).observations
+    start, period = run_filter(example_model, config, y).cycle
+    repeat = start + period  # V at this step is the first that equals an earlier one
+    for T in (0, 1, repeat // 2, repeat - 1, repeat, repeat + 1):
+        ft = _assert_matches_reference(example_model, config, y[:T])
+        assert ft.cycle == ((start, period) if T >= repeat else None), T
+
+
+def _scalar_model():
+    return StateSpaceModel(A=[[0.5]], B=[[1.0, 0.0]], C=[[1.0]], D=[[0.0, 1.0]],
+                           x0_mean=np.zeros(1), V0=np.eye(1))
+
+
+@pytest.mark.parametrize("model,config", [
+    ("example", FilterConfig.robust(1.0, 0.086)),
+    ("scalar", FilterConfig.standard()),
+    ("scalar", FilterConfig.robust(0.5, 0.01)),
+])
+def test_cycle_is_the_first_and_shortest_repeat(example_model, model, config):
+    model = example_model if model == "example" else _scalar_model()
+    ft = _assert_matches_reference(model, config, np.ones((300, 1)))
+    start, period = ft.cycle
+    repeat = start + period
+    assert period >= 1
+    np.testing.assert_array_equal(ft.V_seq[repeat:], ft.V_seq[start:-period])
+    np.testing.assert_array_equal(ft.gains[repeat:], ft.gains[start:-period])
+    # no V before V_repeat equals it but V_start, and none repeats sooner
+    assert [i for i in range(repeat) if np.array_equal(ft.V_seq[i], ft.V_seq[repeat])] == [start]
+    assert len({ft.V_seq[i].tobytes() for i in range(repeat)}) == repeat
+
+
+def _counting_reweight(monkeypatch):
+    calls = []
+
+    def counted(config, P):
+        calls.append(1)
+        return _reweight(config, P)
+
+    monkeypatch.setattr(riccati, "_reweight", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", EXAMPLE_CONFIGS, ids=lambda c: c.label())
+def test_recursion_stops_at_first_repeat(example_model, config, monkeypatch, caplog):
+    calls = _counting_reweight(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="robkf.riccati"):
+        ft = run_filter(example_model, config, np.ones((1000, 1)))
+    start, period = ft.cycle
+    # the repeat shows only once V_{start+period} is computed
+    assert len(calls) == start + period
+    assert start < 300
+    assert f"repeats V_{start} (period {period})" in caplog.text
+
+
+def test_risk_sensitive_domain_violation_at_same_step(example_model, monkeypatch):
+    config = FilterConfig.risk_sensitive(0.5, 0.5)
+    y = np.zeros((50, 1))
+    calls = _counting_reweight(monkeypatch)
+    with pytest.raises(DomainViolation):
+        _reference_run(example_model, config, y)
+    reference_steps = len(calls)
+    calls.clear()
+    with pytest.raises(DomainViolation):
+        run_filter(example_model, config, y)
+    assert len(calls) == reference_steps < y.shape[0]
+
+
 def test_run_filter_validates_observations(example_model):
     config = FilterConfig.standard()
     with pytest.raises(DimensionMismatch):
@@ -195,6 +316,7 @@ def test_run_filter_zero_steps(example_model):
     assert ft.P_seq.shape == (0, 2, 2)
     assert ft.V_seq.shape == (1, 2, 2)
     assert ft.theta_seq.shape == (0,)
+    assert ft.cycle is None
 
 
 def test_compare_single_standard_degenerates(example_model):
