@@ -6,7 +6,6 @@ factorizations throughout, no structured solvers.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from robkf.errors import NotSPD
 
@@ -19,6 +18,7 @@ __all__ = [
     "eigvalsh_sym",
     "eigh_sym",
     "spectral_radius",
+    "generalized_eigvalsh",
     "thompson_distance",
     "truncated_sqrt",
     "rank_from_singular_values",
@@ -32,18 +32,19 @@ def sym(M: np.ndarray) -> np.ndarray:
 
 def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of the symmetrized input, or NotSPD."""
+    if not np.all(np.isfinite(M)):
+        raise NotSPD(f"{what} has non-finite entries")
     try:
-        return la.cholesky(sym(M), lower=True)
-    except la.LinAlgError as exc:
+        return np.linalg.cholesky(sym(M))
+    except np.linalg.LinAlgError as exc:
         raise NotSPD(f"{what} is not symmetric positive definite") from exc
-    except ValueError as exc:  # scipy's finiteness check
-        raise NotSPD(f"{what} has non-finite entries") from exc
 
 
 def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Solve M X = B for SPD M via Cholesky."""
-    L = cholesky_spd(M, what)
-    return la.cho_solve((L, True), B)
+    """Solve M X = B for SPD M: Cholesky checks M, then one LU solve (numpy has no
+    triangular solve, and one general solve beats two on the factor)."""
+    cholesky_spd(M, what)
+    return np.linalg.solve(sym(M), B)
 
 
 def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -52,26 +53,26 @@ def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def is_spd(M: np.ndarray) -> bool:
     try:
-        la.cholesky(sym(M), lower=True)
-    except (la.LinAlgError, ValueError):
+        cholesky_spd(M)
+    except NotSPD:
         return False
-    return bool(np.all(np.isfinite(M)))
+    return True
 
 
 def eigvalsh_sym(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized input."""
-    return la.eigvalsh(sym(M))
+    return np.linalg.eigvalsh(sym(M))
 
 
 def eigh_sym(M: np.ndarray):
     """Eigendecomposition (w ascending, U orthogonal) of the symmetrized input."""
-    return la.eigh(sym(M))
+    return np.linalg.eigh(sym(M))
 
 
 def spectral_radius(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
-    return float(np.max(np.abs(la.eigvals(M))))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def truncated_sqrt(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -87,11 +88,18 @@ def truncated_sqrt(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return U[:, keep] * np.sqrt(w[keep])
 
 
+def generalized_eigvalsh(Q: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (Q, L Lᵀ), L lower: those of L⁻¹ Q L⁻ᵀ
+    (Cholesky whitening, as LAPACK sygv does)."""
+    X = np.linalg.solve(L, sym(Q))
+    return eigvalsh_sym(np.linalg.solve(L, X.T))
+
+
 def thompson_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Thompson part metric max |log lam| over generalized eigenvalues of (Q, P)."""
-    cholesky_spd(P, "P")
+    L = cholesky_spd(P, "P")
     cholesky_spd(Q, "Q")
-    lam = la.eigh(sym(Q), sym(P), eigvals_only=True)
+    lam = generalized_eigvalsh(Q, L)
     if lam[0] <= 0.0 or not np.all(np.isfinite(lam)):
         raise NotSPD("generalized eigenvalues left the positive cone")
     return float(np.max(np.abs(np.log(lam))))
@@ -101,7 +109,7 @@ def rank_from_singular_values(M: np.ndarray, rel_tol: float = 1e-10) -> int:
     """Numerical rank via SVD with a relative threshold."""
     if M.size == 0:
         return 0
-    s = la.svdvals(M)
+    s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

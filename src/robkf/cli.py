@@ -101,6 +101,11 @@ def _emit_csv(header: list, rows: list, output_path: Optional[str]) -> None:
             write(fh)
 
 
+def _trajectory_columns(prefix: str, n: int) -> list:
+    return ([f"{prefix}xhat_{i}" for i in range(1, n + 1)] + _upper_tri_names(f"{prefix}P", n)
+            + _upper_tri_names(f"{prefix}V", n) + [f"{prefix}theta"])
+
+
 def _trajectory_row(k: int, ft) -> list:
     row = [str(k)]
     row += [_fmt(v) for v in ft.estimates[k]]
@@ -143,16 +148,8 @@ def cmd_run(manifest: RunManifest) -> int:
         y = simulate(model, manifest.steps, seed).observations
 
     ft = run_filter(model, config, y)
-    n = model.n
-    header = (
-        ["k"]
-        + [f"xhat_{i}" for i in range(1, n + 1)]
-        + _upper_tri_names("P", n)
-        + _upper_tri_names("V", n)
-        + ["theta"]
-    )
     rows = [_trajectory_row(k, ft) for k in range(1, ft.steps + 1)]
-    _emit_csv(header, rows, manifest.output_path)
+    _emit_csv(["k"] + _trajectory_columns("", model.n), rows, manifest.output_path)
     return 0
 
 
@@ -188,13 +185,9 @@ def cmd_compare(manifest: RunManifest) -> int:
     seed = 0 if manifest.seed is None else manifest.seed
     table = compare_filters(model, configs, steps, seed)
 
-    n = model.n
     header = ["k"]
     for label in table.labels:
-        header += [f"{label}_xhat_{i}" for i in range(1, n + 1)]
-        header += _upper_tri_names(f"{label}_P", n)
-        header += _upper_tri_names(f"{label}_V", n)
-        header.append(f"{label}_theta")
+        header += _trajectory_columns(f"{label}_", model.n)
     rows = []
     for k in range(1, steps + 1):
         row = [str(k)]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
 
 from robkf import _linalg
 from robkf.divergence import check_tau, gamma
@@ -30,7 +29,8 @@ from robkf.errors import (
     SearchFailed,
 )
 from robkf.model import NormalizedModel, StateSpaceModel, normalize
-from robkf.riccati import standard_riccati
+from robkf.model import observability_matrix, powers_matrix, reachability_matrix
+from robkf.riccati import predict_covariance
 
 __all__ = [
     "DownsampledSystem",
@@ -46,6 +46,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _PHI_EDGE = 1e-9
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def thompson_metric(P: np.ndarray, Q: np.ndarray) -> float:
@@ -71,10 +72,8 @@ def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
     """
     M = np.asarray(M, dtype=float)
     L1 = _linalg.cholesky_spd(np.asarray(W1, dtype=float), "W1")
-    L2 = _linalg.cholesky_spd(np.asarray(W2, dtype=float), "W2")
-    Y = la.solve_triangular(L2, M, lower=True)
-    Z = la.solve_triangular(L1, Y.T, lower=True).T
-    s = float(la.svdvals(Z)[0] ** 2) if Z.size else 0.0
+    K = M.T @ _linalg.solve_spd(np.asarray(W2, dtype=float), M, "W2")
+    s = max(float(_linalg.generalized_eigvalsh(K, L1)[-1]), 0.0) if M.size else 0.0
     root = np.sqrt(s)
     return float((root / (1.0 + np.sqrt(1.0 + s))) ** 2)
 
@@ -121,34 +120,46 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     NotObservable, NotReachable
         If Omega_N or the zero-reweighting W fail positive definiteness
         although N >= n. For N < n a singular Omega_N is only logged.
+    NotSPD
+        If the impulse responses overflow when squared, checked before
+        the N² blocks are laid out, or a block covariance fails to factor.
     """
     if not isinstance(model, NormalizedModel):
         model = normalize(model)
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ConfigError(f"N must be a positive integer, got {N!r}")
     N = int(N)
-    n, m, p = model.n, model.m, model.p
-    if N < n:
-        log.warning("N=%d below the state dimension %d; Omega_N may be singular", N, n)
+    if N < model.n:
+        log.warning("N=%d below the state dimension %d; Omega_N may be singular", N, model.n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _lifted_system(model, N)
+    except FloatingPointError as exc:
+        raise NotSPD(f"lifted system overflows at N={N} ({exc})") from exc
 
-    powers = [np.eye(n)]
-    for _ in range(N):
-        powers.append(model.A @ powers[-1])
-    R_N = np.hstack([powers[j] @ model.B for j in range(N)])
-    O_N = np.vstack([model.C @ powers[N - 1 - i] for i in range(N)])
-    O_N_R = np.vstack([powers[N - 1 - i] for i in range(N)])
+
+def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
+    n, m, p = model.n, model.m, model.p
+    # impulse responses A^k B and C A^k B for k < N, side by side; H_N H_Nᵀ
+    # and L_N L_Nᵀ sum their squares, so check those before the N² blocks
+    R_N = reachability_matrix(model, N)
+    CR_N = model.C @ R_N
+    if not np.max(np.abs(CR_N), initial=0.0) < _SQRT_MAX:
+        raise NotSPD("block innovation covariance has non-finite entries")
+    if not np.max(np.abs(R_N), initial=0.0) < _SQRT_MAX:
+        raise NotSPD(f"A^k B overflows when squared at N={N}")
+    O_N = observability_matrix(model, N)
+    O_N_R = powers_matrix(model, N)
     H_N = np.zeros((N * p, N * m))
-    for i in range(N):
-        for j in range(i + 1, N):
-            H_N[i * p:(i + 1) * p, j * m:(j + 1) * m] = model.C @ powers[j - i - 1] @ model.B
+    for i in range(N - 1):
+        H_N[i * p:(i + 1) * p, (i + 1) * m:] = CR_N[:, :(N - 1 - i) * m]
     DD_N = np.kron(np.eye(N), model.D @ model.D.T)
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
     # factored before L_N and D_N exist, so a failing build holds less
     G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
     L_N = np.zeros((N * n, N * m))
-    for i in range(N):
-        for j in range(i + 1, N):
-            L_N[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[j - i - 1] @ model.B
+    for i in range(N - 1):
+        L_N[i * n:(i + 1) * n, (i + 1) * m:] = R_N[:, :(N - 1 - i) * m]
     J_N = O_N_R - L_N @ H_N.T @ G_inv_O
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
     Z = _linalg.sym(np.eye(N * m) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"))
@@ -168,7 +179,7 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     return DownsampledSystem(
         model=model, N=N, R_N=R_N, O_N=O_N, O_N_R=O_N_R, D_N=D_N, H_N=H_N,
         L_N=L_N, J_N=J_N, Omega_N=Omega_N, tilde_phi_N=tilde_phi_N,
-        G_N=G_N, Z=Z, T=T, A_N=powers[N],
+        G_N=G_N, Z=Z, T=T, A_N=model.A @ O_N_R[:n],
     )
 
 
@@ -179,7 +190,7 @@ def _reweighted_blocks(ds: DownsampledSystem, bar_phi: np.ndarray):
     the boundary.
     """
     Nn = ds.L_N.shape[0]
-    M = la.solve(np.eye(Nn) - bar_phi @ ds.T, bar_phi)
+    M = np.linalg.solve(np.eye(Nn) - bar_phi @ ds.T, bar_phi)
     Omega = _linalg.sym(ds.Omega_N - ds.J_N.T @ M @ ds.J_N)
     Q = _linalg.sym(ds.Z - ds.L_N.T @ bar_phi @ ds.L_N)
     W = _linalg.sym(ds.R_N @ _linalg.solve_spd(Q, ds.R_N.T, "Q"))
@@ -216,9 +227,9 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
     top = np.hstack([ds.G_N, -(ds.H_N @ ds.L_N.T) @ bar_phi])
     bot = np.hstack([ds.L_N @ ds.H_N.T, np.eye(Nn) - (ds.L_N @ ds.L_N.T) @ bar_phi])
     try:
-        Y = la.solve(np.vstack([top, bot]), np.vstack([ds.O_N, ds.O_N_R]))
+        Y = np.linalg.solve(np.vstack([top, bot]), np.vstack([ds.O_N, ds.O_N_R]))
         Omega, _, W = _reweighted_blocks(ds, bar_phi)
-    except (la.LinAlgError, NotSPD) as exc:
+    except (np.linalg.LinAlgError, NotSPD) as exc:
         raise DomainViolation(f"lifted map undefined for this bar_phi: {exc}") from exc
     alpha = ds.A_N - ds.R_N @ (ds.H_N.T @ Y[:Np] - ds.L_N.T @ (bar_phi @ Y[Np:]))
     try:
@@ -253,7 +264,7 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")
     except NotSPD as exc:
         raise SearchFailed(f"Omega_N is singular at N={ds.N}; no phi > 0 is feasible") from exc
-    X = la.solve_triangular(L, ds.J_N.T, lower=True)
+    X = np.linalg.solve(L, ds.J_N.T)
     t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
     phi = min((1.0 - _PHI_EDGE) / t_max, ds.tilde_phi_N * (1.0 - _PHI_EDGE))
     log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", phi, ds.tilde_phi_N)
@@ -310,10 +321,10 @@ def certify(
 ) -> ConvergenceCertificate:
     """Certify convergence of the robust (or tau=1 risk-sensitive) filter.
 
-    Runs q standard Riccati steps from B Bᵀ to get the floor P_bar_q
-    that every robust trajectory dominates, computes the reweighting
-    threshold phi_N of the N-block lifted system in closed form
-    (``find_phi_N``), converts it through
+    Runs q gain-form Riccati steps (``predict_covariance``) from B Bᵀ
+    to get the floor P_bar_q that every robust trajectory dominates,
+    computes the reweighting threshold phi_N of the N-block lifted
+    system in closed form (``find_phi_N``), converts it through
     sigma_n = lambda_min(P_bar_q) into the risk bound theta_bar, and
     evaluates the budget c_max = gamma(P_bar_q, theta_bar, tau).
 
@@ -353,7 +364,7 @@ def certify(
 
     P_bar = nm.B @ nm.B.T
     for _ in range(q):
-        P_bar = standard_riccati(nm, P_bar)
+        P_bar = predict_covariance(nm, P_bar)
     sigma_n = float(_linalg.eigvalsh_sym(P_bar)[0])
     if sigma_n <= 0.0:
         raise NotSPD(f"P_bar_q is singular after q={q} steps; increase q")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from robkf import _linalg
 from robkf.errors import (
@@ -379,9 +378,11 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     means_equal = np.max(np.abs(dm), initial=0.0) <= MEAN_TOL
     if tau == 1.0 and not means_equal:
         return float("inf")
-    lam = np.clip(la.eigh(f_tilde.cov, f.cov, eigvals_only=True), 1e-300, None)
+    L = _linalg.cholesky_spd(f.cov, "cov")
+    lam = np.clip(_linalg.generalized_eigvalsh(f_tilde.cov, L), 1e-300, None)
     cov_part = _divergence_sum(np.log(lam), tau)[0]
     mean_part = 0.0
     if not means_equal:
-        mean_part = float(dm @ _linalg.solve_spd(f.cov, dm, "cov")) / (1.0 - tau)
+        z = np.linalg.solve(L, dm)
+        mean_part = float(z @ z) / (1.0 - tau)
     return max(cov_part + mean_part, 0.0)

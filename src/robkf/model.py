@@ -184,42 +184,29 @@ def validate(A, B, C, D, x0_mean, V0) -> StateSpaceModel:
     return StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=x0_mean, V0=V0)
 
 
+def _block_sequence(X: np.ndarray, step, N: int) -> list:
+    """[X, step(X), ..., step^{N-1}(X)]."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ConfigError(f"block count N must be a positive integer, got {N!r}")
+    blocks = [X]
+    for _ in range(N - 1):
+        blocks.append(step(blocks[-1]))
+    return blocks
+
+
 def reachability_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
     """Block row [B, AB, ..., A^{N-1}B], shape (n, N*m)."""
-    _check_block_count(N)
-    blocks = []
-    X = model.B
-    for _ in range(N):
-        blocks.append(X)
-        X = model.A @ X
-    return np.hstack(blocks)
+    return np.hstack(_block_sequence(model.B, lambda X: model.A @ X, N))
 
 
 def observability_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
     """Block column stacking C A^{N-1} at the top down to C at the bottom."""
-    _check_block_count(N)
-    blocks = []
-    X = model.C
-    for _ in range(N):
-        blocks.append(X)
-        X = X @ model.A
-    return np.vstack(blocks[::-1])
+    return np.vstack(_block_sequence(model.C, lambda X: X @ model.A, N)[::-1])
 
 
 def powers_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
     """Block column stacking A^{N-1} at the top down to I at the bottom."""
-    _check_block_count(N)
-    blocks = []
-    X = np.eye(model.n)
-    for _ in range(N):
-        blocks.append(X)
-        X = model.A @ X
-    return np.vstack(blocks[::-1])
-
-
-def _check_block_count(N: int) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ConfigError(f"block count N must be a positive integer, got {N!r}")
+    return np.vstack(_block_sequence(np.eye(model.n), lambda X: model.A @ X, N)[::-1])
 
 
 def normalize(model: StateSpaceModel) -> NormalizedModel:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robkf
 from robkf import FilterConfig, load_model, run_filter, simulate
 from robkf.cli import main
 
@@ -128,12 +132,17 @@ def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
         "A": A.tolist(), "B": np.asarray(B).tolist(), "C": np.asarray(C).tolist(),
         "D": np.asarray(D).tolist(), "x0_mean": [0.0, 0.0], "V0": np.eye(2).tolist(),
     }))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        rc = main(["certify", "--model", str(path), "--tau", "0.5", "--N", "100"])
+    rc = main(["certify", "--model", str(path), "--tau", "0.5", "--N", "100"])
     assert rc == 3
     assert capsys.readouterr().err.strip() == (
         "error: block innovation covariance has non-finite entries")
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, robkf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(robkf.__file__).parents[1])})
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_standard_csv(model_file, capsys):

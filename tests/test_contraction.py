@@ -141,6 +141,23 @@ def test_build_downsampled_rejects_bad_n(example_normalized):
         build_downsampled(example_normalized, 2.5)
 
 
+def test_build_downsampled_overflow_raises_before_the_blocks(example_normalized):
+    # rho(A) = 1.2, so C A^k B squared overflows from about k = 1950 on;
+    # tier-1 turns any leaked numpy RuntimeWarning into a failure
+    with pytest.raises(NotSPD, match="block innovation covariance has non-finite entries"):
+        build_downsampled(example_normalized, 2000)
+
+
+def test_build_downsampled_overflow_past_the_squares_is_not_spd():
+    # A^k overflows outright before any impulse response is checked
+    model = NormalizedModel(
+        A=np.diag([0.5, 1e10]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        C=[[1.0, 1.0]], D=[[0.0, 0.0, 1.0]],
+        x0_mean=np.zeros(2), V0=np.eye(2))
+    with pytest.raises(NotSPD, match="lifted system overflows at N=40"):
+        build_downsampled(model, 40)
+
+
 def test_build_downsampled_unobservable_pair():
     model = NormalizedModel(
         A=np.diag([0.5, 0.6]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],

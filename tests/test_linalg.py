@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from robkf import NotSPD
+from robkf import GaussianDensity, NotSPD, tau_divergence, thompson_metric
 from robkf._linalg import cholesky_spd, is_spd
 
 
@@ -11,3 +12,33 @@ def test_non_finite_matrix_is_not_spd():
         cholesky_spd(M, "M")
     assert not is_spd(M)
     assert not is_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def _pencil(rng, n, cond):
+    """P with condition number cond, and Q = P^{1/2} W P^{1/2} for a random
+    SPD W with eigenvalues in [0.3, 3], the generalized eigenvalues of (Q, P)."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.logspace(0.0, np.log10(cond), n)
+    P, half = (U * w) @ U.T, (U * np.sqrt(w)) @ U.T
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q = half @ ((V * rng.uniform(0.3, 3.0, n)) @ V.T) @ half
+    return 0.5 * (P + P.T), 0.5 * (Q + Q.T)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10])
+def test_whitening_matches_scipy_generalized_eigh(cond):
+    # both sides whiten by a Cholesky factor of P, so each carries an error
+    # of order eps * cond(P) in every eigenvalue ratio
+    rtol = 1e-12 + 50 * np.finfo(float).eps * cond
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5, 8):
+        for _ in range(5):
+            P, Q = _pencil(rng, n, cond)
+            lam = sla.eigh(Q, P, eigvals_only=True)
+            d = np.max(np.abs(np.log(lam)))
+            assert thompson_metric(P, Q) == pytest.approx(d, rel=rtol)
+            f_tilde, f = GaussianDensity(np.zeros(n), Q), GaussianDensity(np.zeros(n), P)
+            for tau, div in ((0.0, lam - 1 - np.log(lam)),
+                             (0.5, 2 * (1 - np.sqrt(lam)) + 2 * (lam - np.sqrt(lam))),
+                             (1.0, lam * np.log(lam) - lam + 1)):
+                assert tau_divergence(f_tilde, f, tau) == pytest.approx(div.sum(), rel=rtol)
