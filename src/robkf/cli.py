@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,7 +38,7 @@ from robkf.errors import (
 from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
 from robkf.model import load_model, simulate
 
-__all__ = ["RunManifest", "cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main"]
+__all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main"]
 
 log = logging.getLogger(__name__)
 
@@ -53,26 +52,6 @@ _RNG_NOTE = (
     "V0 from the model file as the gain covariance of step 0, then "
     "alternate prediction and reweighting."
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Normalized arguments of one CLI invocation."""
-
-    command: str
-    model_path: Optional[str] = None
-    tau: Optional[float] = None
-    c: Optional[float] = None
-    theta: Optional[float] = None
-    q: int = 40
-    N: Optional[int] = None
-    steps: Optional[int] = None
-    seed: Optional[int] = None
-    output_path: Optional[str] = None
-    kind: Optional[str] = None
-    mode: str = "robust"
-    obs_path: Optional[str] = None
-    filters: Optional[tuple] = None
 
 
 def _fmt(x) -> str:
@@ -115,41 +94,35 @@ def _trajectory_row(k: int, ft) -> list:
     return row
 
 
-def cmd_certify(manifest: RunManifest) -> int:
-    model = load_model(manifest.model_path)
-    cert = certify(model, tau=manifest.tau, q=manifest.q, N=manifest.N, mode=manifest.mode)
+def cmd_certify(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    cert = certify(model, tau=args.tau, q=args.q, N=args.N, mode=args.mode)
     text = json.dumps(cert.as_dict(), indent=2)
-    if manifest.output_path is None:
+    if args.out is None:
         print(text)
     else:
-        Path(manifest.output_path).write_text(text + "\n")
+        Path(args.out).write_text(text + "\n")
     return 0
 
 
-def _filter_config(manifest: RunManifest) -> FilterConfig:
-    return FilterConfig(
-        kind=manifest.kind, tau=manifest.tau, c=manifest.c, theta=manifest.theta
-    )
-
-
-def cmd_run(manifest: RunManifest) -> int:
-    model = load_model(manifest.model_path)
-    config = _filter_config(manifest)
-    if manifest.obs_path is not None:
-        if manifest.steps is not None or manifest.seed is not None:
+def cmd_run(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    config = FilterConfig(kind=args.kind, tau=args.tau, c=args.c, theta=args.theta)
+    if args.obs is not None:
+        if args.steps is not None or args.seed is not None:
             raise ConfigError("--obs replaces --steps and --seed")
-        y = load_observations(manifest.obs_path)
+        y = load_observations(args.obs)
     else:
-        if manifest.steps is None:
+        if args.steps is None:
             raise ConfigError("run needs --steps (with optional --seed) or --obs")
-        if manifest.steps < 0:
-            raise ConfigError(f"--steps must be >= 0, got {manifest.steps}")
-        seed = 0 if manifest.seed is None else manifest.seed
-        y = simulate(model, manifest.steps, seed).observations
+        if args.steps < 0:
+            raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+        seed = 0 if args.seed is None else args.seed
+        y = simulate(model, args.steps, seed).observations
 
     ft = run_filter(model, config, y)
     rows = [_trajectory_row(k, ft) for k in range(1, ft.steps + 1)]
-    _emit_csv(["k"] + _trajectory_columns("", model.n), rows, manifest.output_path)
+    _emit_csv(["k"] + _trajectory_columns("", model.n), rows, args.out)
     return 0
 
 
@@ -170,19 +143,19 @@ def _parse_filter_spec(spec: str) -> FilterConfig:
     return FilterConfig(kind=kind.strip(), **kw)
 
 
-def cmd_compare(manifest: RunManifest) -> int:
-    model = load_model(manifest.model_path)
-    if manifest.filters:
-        configs = [_parse_filter_spec(s) for s in manifest.filters]
+def cmd_compare(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    if args.filter:
+        configs = [_parse_filter_spec(s) for s in args.filter]
     else:
         configs = [FilterConfig.standard()]
         for tau in (0.0, 0.5, 1.0):
-            cert = certify(model, tau=tau, q=manifest.q, N=manifest.N)
+            cert = certify(model, tau=tau, q=args.q, N=args.N)
             configs.append(FilterConfig.robust(tau, cert.c_max))
-    steps = 100 if manifest.steps is None else manifest.steps
+    steps = 100 if args.steps is None else args.steps
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
-    seed = 0 if manifest.seed is None else manifest.seed
+    seed = 0 if args.seed is None else args.seed
     table = compare_filters(model, configs, steps, seed)
 
     header = ["k"]
@@ -194,7 +167,7 @@ def cmd_compare(manifest: RunManifest) -> int:
         for ft in table.runs:
             row += _trajectory_row(k, ft)[1:]
         rows.append(row)
-    _emit_csv(header, rows, manifest.output_path)
+    _emit_csv(header, rows, args.out)
     for label in table.labels:
         log.info("rmse %s = %s", label, _fmt(table.rmse(label)))
     return 0
@@ -256,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--q", type=int, default=40, help="Riccati burn-in length (default 40)")
     cert.add_argument("--N", type=int, default=None, help="lifted block length (default max(n, 50))")
     cert.add_argument("--mode", choices=("robust", "risk_sensitive"), default="robust")
-    cert.set_defaults(func=lambda m, a: cmd_certify(m))
+    cert.set_defaults(func=cmd_certify)
 
     run = sub.add_parser("run", help="run one filter, write its trajectory as CSV",
                          epilog=_RNG_NOTE)
@@ -269,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="simulation seed (default 0)")
     run.add_argument("--obs", default=None,
                      help="CSV of observations (header y1..yp) instead of simulating")
-    run.set_defaults(func=lambda m, a: cmd_run(m))
+    run.set_defaults(func=cmd_run)
 
     comp = sub.add_parser("compare", help="run several filters on one simulated trajectory",
                           epilog=_RNG_NOTE)
@@ -284,38 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
              "repeatable; default is the standard filter plus robust filters at "
              "tau in {0, 0.5, 1} with their certified c_max",
     )
-    comp.set_defaults(func=lambda m, a: cmd_compare(m))
+    comp.set_defaults(func=cmd_compare)
 
     met = sub.add_parser("metric", help="Thompson distance between two SPD matrices")
     met.add_argument("P", help="JSON file holding a square matrix")
     met.add_argument("Q", help="JSON file holding a square matrix")
-    met.set_defaults(func=lambda m, a: cmd_metric(a.P, a.Q))
+    met.set_defaults(func=lambda a: cmd_metric(a.P, a.Q))
 
     return parser
-
-
-def _manifest_from(args: argparse.Namespace) -> RunManifest:
-    get = lambda name, default=None: getattr(args, name, default)
-    tau = get("tau")
-    if tau is not None and not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    filters = get("filter")
-    return RunManifest(
-        command=args.command,
-        model_path=get("model"),
-        tau=get("tau"),
-        c=get("c"),
-        theta=get("theta"),
-        q=get("q", 40),
-        N=get("N"),
-        steps=get("steps"),
-        seed=get("seed"),
-        output_path=get("out"),
-        kind=get("kind"),
-        mode=get("mode", "robust"),
-        obs_path=get("obs"),
-        filters=tuple(filters) if filters else None,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -332,9 +281,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        manifest = _manifest_from(args)
-        log.info("manifest: %s", manifest)
-        return args.func(manifest, args)
+        tau = getattr(args, "tau", None)
+        if tau is not None and not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+        log.info("arguments: %s", {k: v for k, v in vars(args).items() if k != "func"})
+        return args.func(args)
     except (ConfigError, RiskSensitiveModeUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

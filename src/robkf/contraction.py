@@ -247,8 +247,9 @@ def find_phi_N(ds: DownsampledSystem) -> float:
     exactly when phi < 1/lam_max(T + J_N Omega_N⁻¹ J_Nᵀ), and
     W(phi) = R_N Q(phi)⁻¹ R_Nᵀ is PD for every phi < tilde_phi_N when
     R_N has full row rank. The threshold is returned a relative 1e-9
-    inside that strict edge, and capped the same distance below
-    tilde_phi_N, where the map's domain ends.
+    inside that strict edge. Since T + J_N Omega_N⁻¹ J_Nᵀ ⪰ T, it also
+    lies at least that far below tilde_phi_N = 1/lam_max(T), where the
+    map's domain ends.
 
     Raises
     ------
@@ -266,7 +267,7 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         raise SearchFailed(f"Omega_N is singular at N={ds.N}; no phi > 0 is feasible") from exc
     X = np.linalg.solve(L, ds.J_N.T)
     t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
-    phi = min((1.0 - _PHI_EDGE) / t_max, ds.tilde_phi_N * (1.0 - _PHI_EDGE))
+    phi = (1.0 - _PHI_EDGE) / t_max
     log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", phi, ds.tilde_phi_N)
     return float(phi)
 

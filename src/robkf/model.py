@@ -266,8 +266,8 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     and z standard normal; each step then draws v_k ~ N(0, I_m). The
     result is a deterministic function of (model, steps, seed).
     """
-    if steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ConfigError(f"steps must be a nonnegative integer, got {steps!r}")
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
     x = model.x0_mean + L0 @ rng.standard_normal(model.n)

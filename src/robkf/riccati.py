@@ -6,10 +6,16 @@ the next V. ``FilterConfig`` names the recursion and its parameters, and
 ``_reweight`` is the one reweighting step every caller shares: the
 standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
-filter applies a fixed theta. ``filters.run_filter``,
-``iterate_to_fixed_point`` and the single-step recursions all go
-through it; ``_covariance_sequence`` runs a filter's covariance side
-only until its state V first repeats exactly, then copies the cycle.
+filter applies a fixed theta. ``_recursion`` is the one kernel that
+steps a recursion, propagating in the gain form (``predict_covariance``)
+and then reweighting. ``filters.run_filter`` (through
+``_covariance_sequence``, which stops at the first exact repeat of V and
+copies the cycle), ``iterate_to_fixed_point`` and the single-step
+recursions all consume it, so a fixed point or a single step is the
+same arithmetic as a filter run. The information-form maps
+``standard_riccati`` and ``risk_sensitive_map`` are the paper's
+formulas, kept for analysis and as references; no recursion steps
+through them.
 
 Convergence is measured in the Thompson metric, where the theory
 guarantees contraction; see the contraction module for certificates.
@@ -26,10 +32,10 @@ from robkf import _linalg
 from robkf.divergence import solve_theta, v_update, phi_gap
 from robkf.errors import (
     ConfigError,
+    DimensionMismatch,
     DomainViolation,
     MaxIterExceeded,
     ModelError,
-    NonConvergence,
     NotSPD,
 )
 from robkf.model import StateSpaceModel
@@ -50,9 +56,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _KINDS = ("standard", "robust", "risk_sensitive")
-# Relative disagreement between the two algebraic forms of the same map
-# beyond which the matrix is considered too ill-conditioned to trust.
-_FORM_GATE = 1e-6
 
 
 def _as_float(value) -> float:
@@ -132,6 +135,18 @@ def _reweight(config: FilterConfig, P: np.ndarray) -> tuple[np.ndarray, float]:
     return v_update(P, theta, config.tau), theta
 
 
+def _recursion(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
+    """Step the covariance recursion from the conditional covariance V_0 = V.
+
+    Yields (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) for k = 0, 1, ...: the
+    gain at V_k, the gain-form prediction from V_k, and its reweighting.
+    """
+    while True:
+        G, P = _gain_and_prediction(model, V)
+        V, theta = _reweight(config, P)
+        yield G, P, V, theta
+
+
 def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
     """The covariance side of a T-step filter run started at V_0 = model.V0.
 
@@ -149,12 +164,9 @@ def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
     V_seq = np.zeros((T + 1, n, n))
     theta_seq = np.zeros(T)
 
-    V = model.V0
-    V_seq[0] = V
-    seen = {V.tobytes(): 0}
-    for k in range(T):
-        G, P = _gain_and_prediction(model, V)
-        V, theta = _reweight(config, P)
+    V_seq[0] = model.V0
+    seen = {model.V0.tobytes(): 0}
+    for k, (G, P, V, theta) in zip(range(T), _recursion(model, config, model.V0)):
         gains[k] = G
         P_seq[k] = P
         V_seq[k + 1] = V
@@ -219,6 +231,22 @@ def _require_uncorrelated(model: StateSpaceModel) -> None:
         )
 
 
+def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.shape != (model.n, model.n):
+        raise DimensionMismatch(f"{what} must have shape ({model.n}, {model.n}), got {M.shape}")
+    return M
+
+
+def _require_psd(M: np.ndarray, what: str) -> None:
+    """NotSPD unless M is finite and no eigenvalue lies below −1e-10·max(1, |λ_max|)."""
+    if not np.all(np.isfinite(M)):
+        raise NotSPD(f"{what} has non-finite entries")
+    w = _linalg.eigvalsh_sym(M)
+    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
+        raise NotSPD(f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+
+
 def _observation_information(model: StateSpaceModel) -> np.ndarray:
     DDt = model.D @ model.D.T
     return _linalg.sym(model.C.T @ _linalg.solve_spd(DDt, model.C, "D Dᵀ"))
@@ -266,9 +294,7 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     try:
         Pi = _linalg.inv_spd(P, "P")
     except NotSPD:
-        w = _linalg.eigvalsh_sym(P)
-        if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-            raise
+        _require_psd(P, "P")
         return predict_covariance(model, P)
     X = _linalg.inv_spd(Pi + _observation_information(model), "P⁻¹ + Cᵀ(DDᵀ)⁻¹C")
     return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
@@ -294,26 +320,11 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
     return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
 
 
-def _propagate_checked(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
-    """Information-form propagation cross-checked against the gain form."""
-    P_info = standard_riccati(model, V)
-    P_gain = predict_covariance(model, V)
-    scale = max(1.0, float(np.linalg.norm(P_info)))
-    gap = float(np.linalg.norm(P_info - P_gain)) / scale
-    if gap > _FORM_GATE:
-        raise NonConvergence(
-            f"Riccati map forms disagree by {gap:.3e}; matrix too ill-conditioned"
-        )
-    return P_info
-
-
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
-    """Reweight P, take the gain there, propagate to P_next, reweight P_next."""
+    """Reweight P into V_in, then take one step of the recursion from V_in."""
     _require_uncorrelated(model)
-    V_in, _ = _reweight(config, np.asarray(P, dtype=float))
-    G = gain(model, V_in)
-    P_next = _propagate_checked(model, V_in)
-    V, theta = _reweight(config, P_next)
+    V_in, _ = _reweight(config, _square(model, P, "P"))
+    G, P_next, V, theta = next(_recursion(model, config, V_in))
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
@@ -332,8 +343,11 @@ def robust_step(model: StateSpaceModel, P: np.ndarray, c: float, tau: float) -> 
     to P_next; then solve theta at P_next and reweight again so the
     returned (P_next, V, theta, Phi) refer to one common step index.
     The returned gain G is the one applied during this step, i.e. the
-    gain at the incoming V. A tau outside [0, 1] or a c that is not
-    finite and positive raises DomainViolation.
+    gain at the incoming V. The step after the first reweighting is one
+    step of the gain-form kernel a filter run uses, so G and P_next equal
+    ``gain`` and ``predict_covariance`` at the incoming V bit for bit.
+    A tau outside [0, 1] or a c that is not finite and positive raises
+    DomainViolation; a P that is not n×n raises DimensionMismatch.
     """
     return _step(model, _step_config(kind="robust", tau=tau, c=c), P)
 
@@ -346,7 +360,9 @@ def risk_sensitive_step(
     For 0 < tau < 1 the reweighting domain sigma1(P) < 1/(theta (1-tau))
     is checked on both the incoming and outgoing covariance; leaving it
     raises DomainViolation (detected, not prevented), as does a tau
-    outside [0, 1] or a theta that is not finite and positive.
+    outside [0, 1] or a theta that is not finite and positive. Steps
+    through the same gain-form kernel as ``robust_step``; a P that is not
+    n×n raises DimensionMismatch.
     """
     return _step(model, _step_config(kind="risk_sensitive", tau=tau, theta=theta), P)
 
@@ -374,7 +390,9 @@ def iterate_to_fixed_point(
     ``start`` is the initial conditional covariance V₀: the first
     prediction is propagated from it, then each cycle reweights it as
     ``FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)`` does in a
-    filter run. Stops when d_T(P_k, P_{k+1}) <= tol.
+    filter run. The steps come from the same gain-form kernel as
+    ``filters.run_filter``, so started at model.V0 the k-th iterate is
+    row k of a filter run bit for bit. Stops when d_T(P_k, P_{k+1}) <= tol.
 
     Returns
     -------
@@ -388,29 +406,33 @@ def iterate_to_fixed_point(
     MaxIterExceeded
         With the partial report attached as ``report``.
     ConfigError
-        If the stepper and its parameters do not make a FilterConfig, or
-        tol is not positive.
+        If the stepper and its parameters do not make a FilterConfig,
+        tol is not positive, or max_iter is not a positive integer.
+    DimensionMismatch
+        If start is not n×n.
+    NotSPD
+        If start is not finite or has an eigenvalue below
+        −1e-10·max(1, |λ_max|); a singular PSD start is accepted.
     """
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
     _require_uncorrelated(model)
+    V0 = _linalg.sym(_square(model, start, "start"))
+    _require_psd(V0, "start")
 
-    V = _linalg.sym(np.asarray(start, dtype=float))
     P_prev: np.ndarray | None = None
-    P_star = V
-    th: float | None = None
     dist = float("inf")
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        P_star = _propagate_checked(model, V)
+    steps = zip(range(1, max_iter + 1), _recursion(model, config, V0))
+    for iterations, (_, P_star, V, th) in steps:
         if P_prev is not None:
             try:
                 dist = _linalg.thompson_distance(P_prev, P_star)
             except NotSPD:
                 dist = float("inf")
-        V, th = _reweight(config, P_star)
         P_prev = P_star
         if dist <= tol:
             converged = True

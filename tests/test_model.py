@@ -234,6 +234,12 @@ def test_bad_block_count_and_steps_raise_config_error(example_model):
         simulate(example_model, -1, 0)
 
 
+@pytest.mark.parametrize("steps", [2.5, "10"])
+def test_simulate_rejects_non_integer_steps(example_model, steps):
+    with pytest.raises(ConfigError):
+        simulate(example_model, steps, 0)
+
+
 def test_trajectory_length_mismatch():
     with pytest.raises(DimensionMismatch):
         Trajectory(states=np.zeros((3, 2)), observations=np.zeros((2, 1)), seed=0)

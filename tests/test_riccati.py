@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from robkf import (
     ConfigError,
+    DimensionMismatch,
     DomainViolation,
+    FilterConfig,
     MaxIterExceeded,
     ModelError,
+    NotSPD,
     StateSpaceModel,
     gain,
     gamma,
@@ -16,13 +20,14 @@ from robkf import (
     risk_sensitive_map,
     risk_sensitive_step,
     robust_step,
+    run_filter,
     solve_theta,
     standard_riccati,
     thompson_metric,
     v_update,
 )
 
-from conftest import random_spd
+from conftest import example_matrices, random_spd
 
 
 def scalar_model(a=1.0, b=1.0, c=1.0, d=1.0):
@@ -250,6 +255,9 @@ def test_max_iter_exceeded_carries_report(example_normalized):
     dict(stepper="risk_sensitive", tau=1.0, theta=0.0),
     dict(stepper="robust", tau=1.5, c=0.1),
     dict(stepper="robust", tau=0.5, c=np.inf),
+    dict(stepper="standard", max_iter=2.5),
+    dict(stepper="standard", max_iter=0),
+    dict(stepper="standard", max_iter=-1),
 ])
 def test_fixed_point_config_errors(example_normalized, kwargs):
     stepper = kwargs.pop("stepper")
@@ -264,3 +272,89 @@ def test_monotone_standard_sequence(example_normalized):
         P_next = standard_riccati(example_normalized, P)
         assert np.min(np.linalg.eigvalsh(P_next - P)) >= -1e-10
         P = P_next
+
+
+def example_with_sensor_scale(scale):
+    A, B, C, D = example_matrices()
+    return normalize(StateSpaceModel(A=A, B=B, C=C, D=scale * D,
+                                     x0_mean=np.zeros(2), V0=np.eye(2)))
+
+
+def dare(model):
+    return la.solve_discrete_are(model.A.T, model.C.T, model.B @ model.B.T,
+                                 model.D @ model.D.T)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-7])
+def test_fixed_points_on_precise_sensor_models(scale):
+    # D Dᵀ = scale² makes P⁻¹ + Cᵀ(DDᵀ)⁻¹C ill-conditioned; the gain form
+    # the recursions step through stays accurate
+    model = example_with_sensor_scale(scale)
+    report = iterate_to_fixed_point(model, np.eye(2), "standard", tol=1e-12)
+    assert thompson_metric(report.P_star, dare(model)) <= 1e-10
+    robust = iterate_to_fixed_point(model, np.eye(2), "robust", tau=0.5, c=0.05, tol=1e-12)
+    assert robust.final_step_distance <= 1e-12
+    assert robust.spectral_radius_closed_loop < 1
+
+
+def test_robust_step_on_precise_sensor_model():
+    model = example_with_sensor_scale(1e-7)
+    step = robust_step(model, np.eye(2), 0.05, 0.5)
+    assert np.all(np.isfinite(step.P_next))
+    assert np.min(np.linalg.eigvalsh(step.V - step.P_next)) > 0
+
+
+def test_standard_fixed_point_from_huge_start(example_normalized):
+    report = iterate_to_fixed_point(example_normalized, 1e14 * np.eye(2), "standard", tol=1e-12)
+    assert thompson_metric(report.P_star, dare(example_normalized)) <= 1e-10
+
+
+@pytest.mark.parametrize("config", [
+    FilterConfig.standard(),
+    FilterConfig.robust(0.5, 0.1),
+    FilterConfig.risk_sensitive(1.0, 1e-3),
+], ids=lambda config: config.kind)
+def test_fixed_point_is_a_filter_run(example_normalized, config):
+    model = example_normalized
+    report = iterate_to_fixed_point(model, model.V0, config.kind, tau=config.tau, c=config.c,
+                                    theta=config.theta, tol=1e-10)
+    ft = run_filter(model, config, np.zeros((report.iterations, 1)))
+    assert np.array_equal(report.P_star, ft.P_seq[-1])
+    assert np.array_equal(report.V_star, ft.V_seq[-1])
+    assert np.array_equal(report.G_star, gain(model, ft.V_seq[-1]))
+    if config.kind == "standard":
+        assert report.theta_star is None
+    else:
+        assert report.theta_star == ft.theta_seq[-1]
+
+
+def test_single_steps_are_kernel_steps(example_normalized):
+    model = example_normalized
+    P = np.array([[2.0, 0.3], [0.3, 1.5]])
+    for step, theta in [(robust_step(model, P, 0.08, 0.5), solve_theta(P, 0.08, 0.5)),
+                        (risk_sensitive_step(model, P, 0.2, 0.5), 0.2)]:
+        V_in = v_update(P, theta, 0.5)
+        assert np.array_equal(step.P_next, predict_covariance(model, V_in))
+        assert np.array_equal(step.G, gain(model, V_in))
+
+
+def test_fixed_point_rejects_wrong_shape_start(example_normalized):
+    with pytest.raises(DimensionMismatch):
+        iterate_to_fixed_point(example_normalized, np.eye(3))
+
+
+def test_fixed_point_start_must_be_psd(example_normalized):
+    model = example_normalized
+    with pytest.raises(NotSPD):
+        iterate_to_fixed_point(model, -0.1 * np.eye(2))
+    with pytest.raises(NotSPD):
+        iterate_to_fixed_point(model, np.full((2, 2), np.nan))
+    report = iterate_to_fixed_point(model, np.zeros((2, 2)), tol=1e-12)
+    assert thompson_metric(report.P_star, dare(model)) <= 1e-10
+
+
+def test_single_steps_reject_wrong_shape(example_normalized):
+    with pytest.raises(DimensionMismatch):
+        robust_step(example_normalized, np.eye(3), 0.05, 0.5)
+    with pytest.raises(DimensionMismatch):
+        risk_sensitive_step(example_normalized, np.eye(3), 0.2, 1.0)
