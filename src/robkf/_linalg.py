@@ -13,6 +13,7 @@ __all__ = [
     "sym",
     "cholesky_spd",
     "solve_spd",
+    "solve_symmetric_spd",
     "inv_spd",
     "is_spd",
     "eigvalsh_sym",
@@ -30,21 +31,38 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of the symmetrized input, or NotSPD."""
+def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of the exactly symmetric M, or NotSPD."""
     if not np.all(np.isfinite(M)):
         raise NotSPD(f"{what} has non-finite entries")
     try:
-        return np.linalg.cholesky(sym(M))
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"{what} is not symmetric positive definite") from exc
 
 
+def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of the symmetrized input, or NotSPD."""
+    return _cholesky(sym(M), what)
+
+
 def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Solve M X = B for SPD M: Cholesky checks M, then one LU solve (numpy has no
-    triangular solve, and one general solve beats two on the factor)."""
-    cholesky_spd(M, what)
-    return np.linalg.solve(sym(M), B)
+    """Solve M X = B for the symmetrized SPD M, or NotSPD."""
+    return solve_symmetric_spd(sym(M), B, what)
+
+
+def solve_symmetric_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``solve_spd`` for an M that is already exactly symmetric.
+
+    Cholesky checks M, then one LU solve (numpy has no triangular solve,
+    and one general solve beats two on the factor). An M that passes the
+    Cholesky check but that LU still finds singular raises NotSPD too.
+    """
+    _cholesky(M, what)
+    try:
+        return np.linalg.solve(M, B)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"{what} is numerically singular") from exc
 
 
 def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -45,6 +45,8 @@ THETA_RTOL = 1e-10
 # Relative gap kept below the tau < 1 domain boundary theta (1-tau) sigma1(P) = 1.
 _EDGE_EPS = 1e-12
 _MAX_ITER = 200
+# np.exp overflows exactly for arguments above the log of the largest double.
+_EXP_MAX = math.log(np.finfo(float).max)
 # For |u| < _SERIES_U the divergence is summed from its power series in u
 # up to u^_SERIES_ORDER; the first omitted term is below 1e-19 of the sum.
 _SERIES_U = 0.5
@@ -77,21 +79,63 @@ class GaussianDensity:
         return self.mean.size
 
 
+def _as_float(value) -> float:
+    """float(value), or nan when value is missing or not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _scalar(value, what: str) -> float:
+    """float(value), or DomainViolation when value is not a number or is NaN."""
+    number = _as_float(value)
+    if math.isnan(number):
+        raise DomainViolation(f"{what} must be a number, got {value!r}")
+    return number
+
+
 def check_tau(tau: float) -> float:
-    tau = float(tau)
+    tau = _scalar(tau, "tau")
     if not 0.0 <= tau <= 1.0:
         raise DomainViolation(f"tau must lie in [0, 1], got {tau}")
     return tau
 
 
-def _spd_eigvals(P: np.ndarray, what: str = "P") -> np.ndarray:
-    """Ascending eigenvalues, rejecting clearly indefinite input."""
-    w = _linalg.eigvalsh_sym(np.asarray(P, dtype=float))
-    if w.size == 0:
-        raise DimensionMismatch(f"{what} is empty")
+def _check_theta(theta: float) -> float:
+    theta = _scalar(theta, "theta")
+    if theta < 0.0:
+        raise DomainViolation(f"theta must be nonnegative, got {theta}")
+    return theta
+
+
+def _finite_square(P: np.ndarray) -> np.ndarray:
+    """P as a float array; DimensionMismatch unless square and nonempty, NotSPD
+    unless finite."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise DimensionMismatch(f"P must be a nonempty square matrix, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise NotSPD("P has non-finite entries")
+    return P
+
+
+def _psd_spectrum(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues w of P clipped at zero, rejecting clearly indefinite P."""
     if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise NotSPD(f"{what} has a negative eigenvalue ({w[0]:.3e})")
+        raise NotSPD(f"P has a negative eigenvalue ({w[0]:.3e})")
     return np.clip(w, 0.0, None)
+
+
+def _positive_eigh(P: np.ndarray):
+    """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD
+    unless P is finite and positive definite."""
+    if not np.isfinite(P).all():
+        raise NotSPD("P has non-finite entries")
+    w, U = np.linalg.eigh(P)
+    if not w[0] > 0.0:
+        raise NotSPD("P is not symmetric positive definite")
+    return w, U
 
 
 def _expm1_over(a: float, u: np.ndarray) -> np.ndarray:
@@ -118,11 +162,11 @@ def _divergence_sum(u: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
 
         g(u) = sum_{m>=2} (1 + tau + ... + tau^{m-2}) u^m / m!.
 
-    The sum is +inf once exp overflows (u past ~709).
+    The sum is +inf once exp overflows (u past ~709). Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope_u = np.exp(tau * u) * _expm1_over(1.0 - tau, u)
-        g = slope_u - _expm1_over(tau, u)
+    slope_u = np.exp(tau * u) * _expm1_over(1.0 - tau, u)
+    g = slope_u - _expm1_over(tau, u)
     i, j = np.searchsorted(u, _SERIES_BOUNDS)
     if j > i:
         g[i:j] = (u[i:j, None] ** _SERIES_POWERS) @ _series_coefficients(tau)
@@ -135,6 +179,7 @@ def _gamma_and_slope(d: np.ndarray, theta: float, tau: float) -> tuple[float, fl
 
     d holds the eigenvalues of P in ascending order, and u = log of the
     matching eigenvalues of P⁻¹ v_update(P, theta, tau) ascends with it.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if tau < 1.0:
         x = theta * (1.0 - tau) * d
@@ -150,8 +195,7 @@ def _gamma_and_slope(d: np.ndarray, theta: float, tau: float) -> tuple[float, fl
     total, slope_u = _divergence_sum(u, tau)
     if total == math.inf:
         return math.inf, math.inf
-    with np.errstate(over="ignore"):
-        return total, float(slope_u @ du)
+    return total, float(slope_u @ du)
 
 
 def gamma(P: np.ndarray, theta: float, tau: float) -> float:
@@ -165,13 +209,18 @@ def gamma(P: np.ndarray, theta: float, tau: float) -> float:
     Raises
     ------
     DomainViolation
-        If theta < 0, or tau < 1 with theta*(1-tau)*sigma1(P) >= 1.
+        If tau or theta is not a number, theta < 0, or tau < 1 with
+        theta*(1-tau)*sigma1(P) >= 1.
+    NotSPD
+        If P is not finite or has a clearly negative eigenvalue.
+    DimensionMismatch
+        If P is not a nonempty square matrix.
     """
     tau = check_tau(tau)
-    theta = float(theta)
-    if theta < 0.0:
-        raise DomainViolation(f"theta must be nonnegative, got {theta}")
-    return _gamma_and_slope(_spd_eigvals(P), theta, tau)[0]
+    theta = _check_theta(theta)
+    d = _psd_spectrum(_linalg.eigvalsh_sym(_finite_square(P)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gamma_and_slope(d, theta, tau)[0]
 
 
 def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
@@ -185,8 +234,10 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
     d of P, which gives theta0 = sqrt(2c)/|d|; at tau = 1 theta0 is
     capped by max(2, log c)/sigma1(P), at tau < 1 by the domain
     boundary. The eigendecomposition of P is done once and reused
-    across iterations. Deterministic: identical inputs give
-    bit-identical output.
+    across iterations; it is the one ``v_update`` does, so
+    ``v_update(P, solve_theta(P, c, tau), tau)`` is bit for bit the cold
+    reweighting step of a robust filter. Deterministic: identical inputs
+    give bit-identical output.
 
     Parameters
     ----------
@@ -201,6 +252,13 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
 
     Raises
     ------
+    DomainViolation
+        If tau or c is not a number, tau is outside [0, 1], or c <= 0.
+    NotSPD
+        If P is not finite, has a clearly negative eigenvalue, or is
+        numerically zero.
+    DimensionMismatch
+        If P is not a nonempty square matrix.
     ToleranceUnreachable
         If c exceeds every attainable radius (c infinite, or
         floating-point breakdown near the domain boundary for tau < 1).
@@ -209,52 +267,82 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
         budget runs out, before the residual meets the tolerance.
     """
     tau = check_tau(tau)
-    c = float(c)
+    c = _scalar(c, "radius c")
     if not c > 0.0:
         raise DomainViolation(f"radius c must be positive, got {c}")
-    d = _spd_eigvals(P)
-    d_max = float(d[-1])
-    if d_max <= 0.0:
+    d = _psd_spectrum(_linalg.eigh_sym(_finite_square(P))[0])
+    if d[-1] <= 0.0:
         raise NotSPD("P is numerically zero")
-    if c == np.inf:
+    if c == math.inf:
         raise ToleranceUnreachable("radius c is infinite")
+    return _theta_on(d, c, tau)
 
-    theta = np.sqrt(2.0) * np.sqrt(c) / np.linalg.norm(d)
-    if tau < 1.0:
-        hi = (1.0 - _EDGE_EPS) / ((1.0 - tau) * d_max)
-        if theta >= hi:
-            if _gamma_and_slope(d, hi, tau)[0] < c:
-                raise ToleranceUnreachable(
-                    f"radius c={c:.6e} is beyond the attainable range for tau={tau}"
-                )
-            theta = hi
-    else:
-        # at the top eigenvalue u e^u - e^u + 1 >= e^u once u >= 2
-        hi = np.inf
-        theta = min(theta, max(2.0, np.log(c)) / d_max)
 
-    lo = 0.0
-    for _ in range(_MAX_ITER):
-        val, slope = _gamma_and_slope(d, theta, tau)
-        if abs(val - c) <= THETA_RTOL * c:
-            return float(theta)
-        if val > c:
-            hi = theta
-        else:
-            lo = theta
-        nxt = np.nan
-        if 0.0 < val < np.inf:
-            # d log theta / d log gamma = val / (theta slope), at most 1/2
-            with np.errstate(over="ignore"):
-                nxt = theta * np.exp((np.log(c) - np.log(val)) * (val / slope / theta))
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * theta
+def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
+    """solve_theta on the ascending eigenvalues d of P, with d[-1] > 0 and a finite c > 0.
+
+    Starts from theta when it lies inside the bracket (0, domain bound),
+    as the previous step's theta does in a filter run; otherwise from the
+    cold start solve_theta documents. From below the root the first
+    Newton step lands above it, and the descent continues from there.
+    """
+    d_max = float(d[-1])
+    edge = (1.0 - _EDGE_EPS) / ((1.0 - tau) * d_max) if tau < 1.0 else math.inf
+    log_c = math.log(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not 0.0 < theta < edge:
+            theta = math.sqrt(2.0) * math.sqrt(c) / float(np.linalg.norm(d))
+            if tau < 1.0:
+                theta = min(theta, edge)
+            else:
+                # at the top eigenvalue u e^u - e^u + 1 >= e^u once u >= 2
+                theta = min(theta, max(2.0, log_c) / d_max)
+        lo, hi = 0.0, edge
+        for _ in range(_MAX_ITER):
+            val, slope = _gamma_and_slope(d, theta, tau)
+            if abs(val - c) <= THETA_RTOL * c:
+                return theta
+            if val > c:
+                hi = theta
+            else:
+                lo = theta
+            nxt = math.nan
+            if 0.0 < val < math.inf:
+                # d log theta / d log gamma = val / (theta slope), at most 1/2
+                try:
+                    nxt = theta * math.exp((log_c - math.log(val)) * (val / slope / theta))
+                except OverflowError:
+                    nxt = math.inf
             if not lo < nxt < hi:
-                break
-        theta = nxt
+                nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * theta
+                if not lo < nxt < hi:
+                    break
+            theta = nxt
+        if tau < 1.0 and _gamma_and_slope(d, edge, tau)[0] < c:
+            raise ToleranceUnreachable(
+                f"radius c={c:.6e} is beyond the attainable range for tau={tau}"
+            )
     raise NonConvergence(
         f"theta solve did not converge for c={c:.6e}, tau={tau}"
     )
+
+
+def _reweighted(w: np.ndarray, U: np.ndarray, theta: float, tau: float) -> np.ndarray:
+    """U diag(w f(w)) Uᵀ for theta > 0 and the eigendecomposition (w > 0 ascending,
+    U) of P: v_update without its input checks."""
+    if tau < 1.0:
+        y = 1.0 - theta * (1.0 - tau) * w
+        if y[-1] <= 0.0:
+            raise DomainViolation(
+                f"theta={theta:.6e} outside the domain: theta*(1-tau)*sigma1(P) must be < 1"
+            )
+        f = np.power(y, 1.0 / (tau - 1.0))
+    else:
+        x = theta * w
+        if x[-1] > _EXP_MAX:
+            raise DomainViolation(f"theta={theta:.6e} overflows exp(theta P)")
+        f = np.exp(x)
+    return _linalg.sym((U * (w * f)) @ U.T)
 
 
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
@@ -274,37 +362,21 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     Raises
     ------
     NotSPD
-        If P is not positive definite.
+        If P is not finite or not positive definite.
+    DimensionMismatch
+        If P is not a nonempty square matrix.
     DomainViolation
-        If tau < 1 and theta (1-tau) sigma1(P) >= 1, or the tau = 1
-        exponential overflows.
+        If tau or theta is not a number, theta < 0, tau < 1 and
+        theta (1-tau) sigma1(P) >= 1, or the tau = 1 exponential
+        overflows.
     """
     tau = check_tau(tau)
-    theta = float(theta)
-    if theta < 0.0:
-        raise DomainViolation(f"theta must be nonnegative, got {theta}")
-    P = np.asarray(P, dtype=float)
+    theta = _check_theta(theta)
+    P = _linalg.sym(_finite_square(P))
     if theta == 0.0:
-        return _linalg.sym(P)
-    w, U = _linalg.eigh_sym(P)
-    if w[0] <= 0.0:
-        raise NotSPD("P is not symmetric positive definite")
-    if tau < 1.0:
-        y = 1.0 - theta * (1.0 - tau) * w
-        if np.min(y) <= 0.0:
-            raise DomainViolation(
-                f"theta={theta:.6e} outside the domain: theta*(1-tau)*sigma1(P) must be < 1"
-            )
-        f = np.power(y, 1.0 / (tau - 1.0))
-    else:
-        with np.errstate(over="raise"):
-            try:
-                f = np.exp(theta * w)
-            except FloatingPointError as exc:
-                raise DomainViolation(
-                    f"theta={theta:.6e} overflows exp(theta P)"
-                ) from exc
-    return _linalg.sym((U * (w * f)) @ U.T)
+        return P
+    w, U = _positive_eigh(P)
+    return _reweighted(w, U, theta, tau)
 
 
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -331,12 +403,10 @@ def phi_upper_bound(theta: float, tau: float, d_bar: float) -> float:
     itself, independent of d_bar.
     """
     tau = check_tau(tau)
-    theta = float(theta)
-    d_bar = float(d_bar)
+    theta = _check_theta(theta)
+    d_bar = _scalar(d_bar, "d_bar")
     if d_bar <= 0.0:
         raise DomainViolation(f"d_bar must be positive, got {d_bar}")
-    if theta < 0.0:
-        raise DomainViolation(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 0.0
     if tau == 0.0:
@@ -380,7 +450,8 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         return float("inf")
     L = _linalg.cholesky_spd(f.cov, "cov")
     lam = np.clip(_linalg.generalized_eigvalsh(f_tilde.cov, L), 1e-300, None)
-    cov_part = _divergence_sum(np.log(lam), tau)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_part = _divergence_sum(np.log(lam), tau)[0]
     mean_part = 0.0
     if not means_equal:
         z = np.linalg.solve(L, dm)

@@ -12,7 +12,9 @@ throughout. ``FilterConfig`` and that reweighting step live in the
 riccati module, which the fixed-point iteration shares; this module
 re-exports ``FilterConfig``. The covariance side reads no observation,
 so ``run_filter`` takes it whole from ``riccati._covariance_sequence``
-and runs only the state update.
+and runs only the state update, in the closed-loop form
+xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
+G_k y_k formed in one batch.
 """
 from __future__ import annotations
 
@@ -48,10 +50,12 @@ class FilterTrajectory:
     V_seq     : (T+1, n, n) gain covariances V_0 .. V_T, V_0 = model.V0
     theta_seq : (T,) theta_1 .. theta_T paired with V_1 .. V_T; all
                 zero for the standard filter
-    cycle     : (j, period) when V_{j+period} is the first gain
-                covariance equal, bit for bit, to an earlier one, V_j;
-                None when no V repeats within the run. Every row from
-                step j on repeats with that period.
+    cycle     : (j, period) when (V_{j+period}, theta_{j+period}) is the
+                first pair equal, bit for bit, to an earlier one,
+                (V_j, theta_j), with theta_0 = 0 (the fixed theta for the
+                risk-sensitive kind); None when no pair repeats within
+                the run. Every row from step j on repeats with that
+                period.
     """
 
     config: FilterConfig
@@ -95,12 +99,12 @@ def run_filter(
 
     T = y.shape[0]
     gains, P_seq, V_seq, theta_seq, cycle = _covariance_sequence(model, config, T)
+    F = model.A - gains @ model.C
+    b = (gains @ y[:, :, None])[:, :, 0]
     estimates = np.zeros((T + 1, model.n))
-    xhat = model.x0_mean.copy()
-    estimates[0] = xhat
+    xhat = estimates[0] = model.x0_mean
     for k in range(T):
-        xhat = model.A @ xhat + gains[k] @ (y[k] - model.C @ xhat)
-        estimates[k + 1] = xhat
+        xhat = estimates[k + 1] = F[k] @ xhat + b[k]
 
     return FilterTrajectory(
         config=config, estimates=estimates, gains=gains,

@@ -6,13 +6,15 @@ the next V. ``FilterConfig`` names the recursion and its parameters, and
 ``_reweight`` is the one reweighting step every caller shares: the
 standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
-filter applies a fixed theta. ``_recursion`` is the one kernel that
-steps a recursion, propagating in the gain form (``predict_covariance``)
-and then reweighting. ``filters.run_filter`` (through
-``_covariance_sequence``, which stops at the first exact repeat of V and
-copies the cycle), ``iterate_to_fixed_point`` and the single-step
-recursions all consume it, so a fixed point or a single step is the
-same arithmetic as a filter run. The information-form maps
+filter applies a fixed theta. The robust reweighting factors P once,
+for the theta solve and the reweighting both, and starts the solve from
+the previous step's theta. ``_recursion`` is the one kernel that steps a
+recursion, propagating in the gain form (``predict_covariance``) and
+then reweighting; a step reads the pair (V, theta). ``filters.run_filter``
+(through ``_covariance_sequence``, which stops at the first exact repeat
+of (V, theta) and copies the cycle), ``iterate_to_fixed_point`` and the
+single-step recursions all consume it, so a fixed point or a single step
+is the same arithmetic as a filter run. The information-form maps
 ``standard_riccati`` and ``risk_sensitive_map`` are the paper's
 formulas, kept for analysis and as references; no recursion steps
 through them.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robkf import _linalg
-from robkf.divergence import solve_theta, v_update, phi_gap
+from robkf.divergence import _as_float, _positive_eigh, _reweighted, _theta_on, phi_gap
 from robkf.errors import (
     ConfigError,
     DimensionMismatch,
@@ -56,14 +58,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _KINDS = ("standard", "robust", "risk_sensitive")
-
-
-def _as_float(value) -> float:
-    """float(value), or nan when value is missing or not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 @dataclass(frozen=True)
@@ -122,28 +116,41 @@ class FilterConfig:
         return "rskf_tau" + f"{self.tau:g}".replace(".", "")
 
 
-def _reweight(config: FilterConfig, P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Reweight the prediction covariance P into the conditional covariance V.
+def _reweight(config: FilterConfig, P: np.ndarray,
+              theta: float = 0.0) -> tuple[np.ndarray, float]:
+    """Reweight the exactly symmetric prediction covariance P into the
+    conditional covariance V.
 
     Returns (V, theta): V = P and theta = 0 for the standard kind, theta
     solved against the budget c for the robust kind, the fixed theta for
-    the risk-sensitive kind.
+    the risk-sensitive kind. The robust solve starts from theta, the
+    previous step's (0 gives a cold start). One eigendecomposition of P
+    serves the solve and the reweighting.
     """
     if config.kind == "standard":
         return P, 0.0
-    theta = solve_theta(P, config.c, config.tau) if config.kind == "robust" else config.theta
-    return v_update(P, theta, config.tau), theta
+    w, U = _positive_eigh(P)
+    if config.kind == "robust":
+        theta = _theta_on(w, config.c, config.tau, theta)
+    else:
+        theta = config.theta
+    return _reweighted(w, U, theta, config.tau), theta
 
 
-def _recursion(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
+def _recursion(model: StateSpaceModel, config: FilterConfig, V: np.ndarray,
+               theta: float = 0.0):
     """Step the covariance recursion from the conditional covariance V_0 = V.
 
     Yields (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) for k = 0, 1, ...: the
     gain at V_k, the gain-form prediction from V_k, and its reweighting.
+    Step k reads (V_k, theta_k): the robust solve for theta_{k+1} starts
+    from theta_k, with theta_0 = theta (0 for a cold start).
     """
+    noise = model.noise_covariances()
+    V = _linalg.sym(V)
     while True:
-        G, P = _gain_and_prediction(model, V)
-        V, theta = _reweight(config, P)
+        G, P = _gain_and_prediction(model, V, noise)
+        V, theta = _reweight(config, P, theta)
         yield G, P, V, theta
 
 
@@ -151,12 +158,14 @@ def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
     """The covariance side of a T-step filter run started at V_0 = model.V0.
 
     Returns (gains, P_seq, V_seq, theta_seq, cycle) shaped as in
-    ``filters.FilterTrajectory``. Step k maps V_k to (G_k, P_{k+1},
-    V_{k+1}, theta_{k+1}) and reads nothing else, so once V_{j+p} equals
-    an earlier V_j byte for byte, every row from step j on repeats with
-    period p. The recursion runs until that first exact repeat and
-    copies the cycle forward; ``cycle`` is (j, p), or None if no V
-    repeats within T steps.
+    ``filters.FilterTrajectory``. Step k maps (V_k, theta_k) to (G_k,
+    P_{k+1}, V_{k+1}, theta_{k+1}) and reads nothing else, so once
+    (V_{j+p}, theta_{j+p}) equals an earlier (V_j, theta_j) byte for byte,
+    every row from step j on repeats with period p. The recursion runs
+    until that first exact repeat and copies the cycle forward; ``cycle``
+    is (j, p), or None if no state repeats within T steps. theta_0 is the
+    risk-sensitive kind's fixed theta and 0 otherwise, so the robust
+    kind's cold first step never counts as a repeat.
     """
     n, p = model.n, model.p
     gains = np.zeros((T, n, p))
@@ -164,19 +173,21 @@ def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
     V_seq = np.zeros((T + 1, n, n))
     theta_seq = np.zeros(T)
 
+    theta0 = 0.0 if config.theta is None else config.theta
     V_seq[0] = model.V0
-    seen = {model.V0.tobytes(): 0}
-    for k, (G, P, V, theta) in zip(range(T), _recursion(model, config, model.V0)):
+    seen = {(model.V0.tobytes(), theta0): 0}
+    steps = _recursion(model, config, model.V0, theta0)
+    for k, (G, P, V, theta) in zip(range(T), steps):
         gains[k] = G
         P_seq[k] = P
         V_seq[k + 1] = V
         theta_seq[k] = theta
-        j = seen.setdefault(V.tobytes(), k + 1)
+        j = seen.setdefault((V.tobytes(), theta), k + 1)
         if j <= k:
             period = k + 1 - j
-            log.debug("%s covariance recursion: V_%d repeats V_%d (period %d); "
-                      "copying the last %d of %d steps", config.kind, k + 1, j, period,
-                      T - k - 1, T)
+            log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
+                      "(period %d); copying the last %d of %d steps", config.kind, k + 1, j,
+                      period, T - k - 1, T)
             rows = j + np.arange(T - k - 1) % period
             gains[k + 1:] = gains[rows]
             P_seq[k + 1:] = P_seq[rows]
@@ -252,25 +263,26 @@ def _observation_information(model: StateSpaceModel) -> np.ndarray:
     return _linalg.sym(model.C.T @ _linalg.solve_spd(DDt, model.C, "D Dᵀ"))
 
 
-def _gain_and_innovation(model: StateSpaceModel, V: np.ndarray):
-    BBt, BDt, DDt = model.noise_covariances()
+def _gain_and_innovation(model: StateSpaceModel, V: np.ndarray, noise):
+    """Gain G at V, the innovation covariance S and A V, given the model's
+    ``noise_covariances()``."""
+    _, BDt, DDt = noise
+    AV = model.A @ V
     S = _linalg.sym(model.C @ V @ model.C.T + DDt)
-    K = model.A @ V @ model.C.T + BDt
-    G = _linalg.solve_spd(S, K.T, "innovation covariance").T
-    return G, S, BBt
+    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).T, "innovation covariance").T
+    return G, S, AV
 
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹."""
-    G, _, _ = _gain_and_innovation(model, np.asarray(V, dtype=float))
-    return G
+    return _gain_and_innovation(model, np.asarray(V, dtype=float), model.noise_covariances())[0]
 
 
-def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray):
-    """Gain G at V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ, from one solve of S."""
-    V = _linalg.sym(np.asarray(V, dtype=float))
-    G, S, BBt = _gain_and_innovation(model, V)
-    return G, _linalg.sym(model.A @ V @ model.A.T - G @ S @ G.T + BBt)
+def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
+    """Gain G at the exactly symmetric V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ,
+    from one solve of S, given the model's ``noise_covariances()``."""
+    G, S, AV = _gain_and_innovation(model, V, noise)
+    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.T + noise[0])
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
@@ -279,7 +291,8 @@ def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     Algebraically identical to ``standard_riccati`` on uncorrelated
     models but valid for singular V and for B Dᵀ ≠ 0.
     """
-    return _gain_and_prediction(model, V)[1]
+    V = _linalg.sym(np.asarray(V, dtype=float))
+    return _gain_and_prediction(model, V, model.noise_covariances())[1]
 
 
 def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
@@ -323,8 +336,8 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
     """Reweight P into V_in, then take one step of the recursion from V_in."""
     _require_uncorrelated(model)
-    V_in, _ = _reweight(config, _square(model, P, "P"))
-    G, P_next, V, theta = next(_recursion(model, config, V_in))
+    V_in, theta_in = _reweight(config, _linalg.sym(_square(model, P, "P")))
+    G, P_next, V, theta = next(_recursion(model, config, V_in, theta_in))
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
@@ -340,8 +353,9 @@ def robust_step(model: StateSpaceModel, P: np.ndarray, c: float, tau: float) -> 
 
     From the current prediction covariance P: solve theta at P, reweight
     to the conditional covariance V, take the gain there, and propagate
-    to P_next; then solve theta at P_next and reweight again so the
-    returned (P_next, V, theta, Phi) refer to one common step index.
+    to P_next; then solve theta at P_next, starting from the theta at P
+    as a filter step does, and reweight again so the returned (P_next,
+    V, theta, Phi) refer to one common step index.
     The returned gain G is the one applied during this step, i.e. the
     gain at the incoming V. The step after the first reweighting is one
     step of the gain-form kernel a filter run uses, so G and P_next equal
@@ -415,8 +429,8 @@ def iterate_to_fixed_point(
         −1e-10·max(1, |λ_max|); a singular PSD start is accepted.
     """
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not _as_float(tol) > 0.0:
+        raise ConfigError(f"tol must be a positive number, got {tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
     _require_uncorrelated(model)

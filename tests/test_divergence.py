@@ -280,6 +280,35 @@ def test_v_update_domain_violation():
         v_update(np.eye(2), 1e4, 1.0)  # exp overflow
 
 
+_NAN_ENTRY = np.array([[1.0, np.nan], [np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("function,args,error", [
+    (solve_theta, (np.eye(2), 0.1, "half"), DomainViolation),
+    (solve_theta, (np.eye(2), 0.1, np.nan), DomainViolation),
+    (solve_theta, (np.eye(2), "small", 0.5), DomainViolation),
+    (solve_theta, (np.eye(2), np.nan, 0.5), DomainViolation),
+    (solve_theta, (np.ones((2, 3)), 0.1, 0.5), DimensionMismatch),
+    (solve_theta, (_NAN_ENTRY, 0.1, 0.5), NotSPD),
+    (gamma, (np.eye(2), np.nan, 0.5), DomainViolation),
+    (gamma, (np.eye(2), "x", 0.5), DomainViolation),
+    (gamma, (np.eye(2), 0.1, None), DomainViolation),
+    (gamma, (np.ones((2, 3)), 0.1, 0.5), DimensionMismatch),
+    (gamma, (np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.1, 0.5), NotSPD),
+    (v_update, (np.eye(2), np.nan, 0.5), DomainViolation),
+    (v_update, (np.eye(2), "x", 1.0), DomainViolation),
+    (v_update, (np.eye(2), 0.1, "half"), DomainViolation),
+    (v_update, (_NAN_ENTRY, 0.1, 0.5), NotSPD),
+    (v_update, (np.ones((2, 3)), 0.1, 0.5), DimensionMismatch),
+    (phi_upper_bound, (np.nan, 0.5, 1.0), DomainViolation),
+    (phi_upper_bound, (0.1, "half", 1.0), DomainViolation),
+    (phi_upper_bound, (0.1, 0.5, np.nan), DomainViolation),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_divergence_inputs_raise_typed_errors(function, args, error):
+    with pytest.raises(error):
+        function(*args)
+
+
 def test_phi_gap_values():
     P = np.eye(2)
     np.testing.assert_allclose(phi_gap(P, P), np.zeros((2, 2)), atol=1e-14)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from robkf import riccati
+from robkf import _linalg, divergence, riccati
 from robkf import (
     ConfigError,
     DimensionMismatch,
@@ -15,6 +15,7 @@ from robkf import (
     certify,
     compare_filters,
     gain,
+    gamma,
     load_observations,
     normalize,
     run_filter,
@@ -181,12 +182,14 @@ def _reference_run(model, config, y):
     T, n = y.shape[0], model.n
     estimates, V_seq = np.zeros((T + 1, n)), np.zeros((T + 1, n, n))
     gains, P_seq, theta_seq = np.zeros((T, n, model.p)), np.zeros((T, n, n)), np.zeros(T)
-    xhat, V = model.x0_mean.copy(), model.V0.copy()
-    estimates[0], V_seq[0] = xhat, V
+    noise = model.noise_covariances()
+    xhat, V = model.x0_mean.copy(), _linalg.sym(model.V0)
+    theta = 0.0 if config.theta is None else config.theta
+    estimates[0], V_seq[0] = xhat, model.V0
     for k in range(T):
-        G, P = _gain_and_prediction(model, V)
-        xhat = model.A @ xhat + G @ (y[k] - model.C @ xhat)
-        V, theta = riccati._reweight(config, P)
+        G, P = _gain_and_prediction(model, V, noise)
+        xhat = (model.A - G @ model.C) @ xhat + G @ y[k]
+        V, theta = riccati._reweight(config, P, theta)
         estimates[k + 1], gains[k], P_seq[k], V_seq[k + 1], theta_seq[k] = xhat, G, P, V, theta
     return estimates, gains, P_seq, V_seq, theta_seq
 
@@ -251,17 +254,36 @@ def test_cycle_is_the_first_and_shortest_repeat(example_model, model, config):
     assert period >= 1
     np.testing.assert_array_equal(ft.V_seq[repeat:], ft.V_seq[start:-period])
     np.testing.assert_array_equal(ft.gains[repeat:], ft.gains[start:-period])
-    # no V before V_repeat equals it but V_start, and none repeats sooner
-    assert [i for i in range(repeat) if np.array_equal(ft.V_seq[i], ft.V_seq[repeat])] == [start]
-    assert len({ft.V_seq[i].tobytes() for i in range(repeat)}) == repeat
+    # the state (V_i, theta_i), theta_0 = 0 for these kinds: no state before
+    # the repeat equals it but the start's, and none repeats sooner
+    thetas = np.concatenate([[0.0], ft.theta_seq])
+    states = [(ft.V_seq[i].tobytes(), thetas[i]) for i in range(repeat + 1)]
+    assert [i for i in range(repeat) if states[i] == states[repeat]] == [start]
+    assert len(set(states[:repeat])) == repeat
+
+
+def test_cycle_is_a_repeat_of_v_and_theta(example_model, monkeypatch):
+    # V_3 equals V_1 but comes with another theta, from which the next robust
+    # solve would start; the cycle begins only when (V_2, theta_2) comes back
+    states = [(2.0, 0.1), (3.0, 0.2), (2.0, 0.3), (3.0, 0.2), (2.0, 0.3)]
+
+    def scripted(model, config, V, theta):
+        for scale, theta_k in states:
+            V_k = scale * np.eye(2)
+            yield np.zeros((2, 1)), V_k, V_k, theta_k
+
+    monkeypatch.setattr(riccati, "_recursion", scripted)
+    ft = run_filter(example_model, FilterConfig.robust(0.5, 0.1), np.zeros((10, 1)))
+    assert ft.cycle == (2, 2)
+    np.testing.assert_array_equal(ft.theta_seq, [0.1, 0.2, 0.3] + [0.2, 0.3] * 3 + [0.2])
 
 
 def _counting_reweight(monkeypatch):
     calls = []
 
-    def counted(config, P):
+    def counted(config, P, theta=0.0):
         calls.append(1)
-        return _reweight(config, P)
+        return _reweight(config, P, theta)
 
     monkeypatch.setattr(riccati, "_reweight", counted)
     return calls
@@ -276,7 +298,55 @@ def test_recursion_stops_at_first_repeat(example_model, config, monkeypatch, cap
     # the repeat shows only once V_{start+period} is computed
     assert len(calls) == start + period
     assert start < 300
-    assert f"repeats V_{start} (period {period})" in caplog.text
+    assert f"repeats (V, theta)_{start} (period {period})" in caplog.text
+
+
+def _model_of(example_model, model):
+    return example_model if model == "example" else random_model(np.random.default_rng(model), n=4)
+
+
+def _runs(configs):
+    """The example runs of configs and the robust n = 4 runs at c = 1e-9 (seeds 5, 6)."""
+    return [pytest.param("example", c, id=c.label()) for c in configs] + [
+        pytest.param(seed, FilterConfig.robust(0.5, 1e-9), id=f"n4_seed{seed}") for seed in (5, 6)
+    ]
+
+
+@pytest.mark.parametrize("model,config", _runs(EXAMPLE_CONFIGS[1:4]))
+def test_warm_started_thetas_meet_the_radius(example_model, model, config):
+    model = _model_of(example_model, model)
+    ft = run_filter(model, config, np.zeros((1000, model.p)))
+    for k in range(ft.steps):
+        radius = gamma(ft.P_seq[k], ft.theta_seq[k], config.tau)
+        assert abs(radius - config.c) <= divergence.THETA_RTOL * config.c, k
+
+
+@pytest.mark.parametrize("model,config", _runs(EXAMPLE_CONFIGS))
+def test_closed_loop_estimates_match_the_innovation_form(example_model, model, config):
+    model = _model_of(example_model, model)
+    y = simulate(model, 1000, seed=12).observations
+    ft = run_filter(model, config, y)
+    want = [model.x0_mean]
+    for G, y_k in zip(ft.gains, y):
+        want.append(model.A @ want[-1] + G @ (y_k - model.C @ want[-1]))
+    scale = 1.0 + np.max(np.abs(ft.estimates))
+    assert np.max(np.abs(ft.estimates - np.array(want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("config", EXAMPLE_CONFIGS[1:4], ids=lambda c: c.label())
+def test_warm_start_takes_at_most_two_gamma_evaluations_per_step(example_model, config,
+                                                                 monkeypatch):
+    calls = []
+    gamma_and_slope = divergence._gamma_and_slope
+
+    def counted(*args):
+        calls.append(1)
+        return gamma_and_slope(*args)
+
+    monkeypatch.setattr(divergence, "_gamma_and_slope", counted)
+    ft = run_filter(example_model, config, np.zeros((1000, 1)))
+    computed = sum(ft.cycle)
+    assert len(calls) <= 2 * computed, (len(calls), computed)
 
 
 def test_risk_sensitive_domain_violation_at_same_step(example_model, monkeypatch):

@@ -258,6 +258,7 @@ def test_max_iter_exceeded_carries_report(example_normalized):
     dict(stepper="standard", max_iter=2.5),
     dict(stepper="standard", max_iter=0),
     dict(stepper="standard", max_iter=-1),
+    dict(stepper="standard", tol="x"),
 ])
 def test_fixed_point_config_errors(example_normalized, kwargs):
     stepper = kwargs.pop("stepper")
@@ -295,6 +296,13 @@ def test_fixed_points_on_precise_sensor_models(scale):
     robust = iterate_to_fixed_point(model, np.eye(2), "robust", tau=0.5, c=0.05, tol=1e-12)
     assert robust.final_step_distance <= 1e-12
     assert robust.spectral_radius_closed_loop < 1
+
+
+def test_information_form_singular_to_lu_is_not_spd():
+    # P⁻¹ + Cᵀ(DDᵀ)⁻¹C passes the Cholesky check, but its LU solve finds it
+    # singular; that is NotSPD too, not a bare LinAlgError
+    with pytest.raises(NotSPD, match="numerically singular"):
+        standard_riccati(example_with_sensor_scale(1e-5), 1e14 * np.eye(2))
 
 
 def test_robust_step_on_precise_sensor_model():
