@@ -11,6 +11,8 @@ from robkf.errors import NotSPD
 
 __all__ = [
     "sym",
+    "finite",
+    "psd_spectrum",
     "cholesky_spd",
     "solve_spd",
     "solve_symmetric_spd",
@@ -26,15 +28,26 @@ __all__ = [
 ]
 
 
+# An eigenvalue below −PSD_RTOL·max(1, |λ_max|) makes a matrix indefinite.
+PSD_RTOL = 1e-10
+_INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
+
+
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize, suppressing floating-point asymmetry drift."""
     return 0.5 * (M + M.T)
 
 
+def finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """M, or NotSPD if it has a non-finite entry."""
+    if not np.isfinite(M).all():
+        raise NotSPD(f"{what} has non-finite entries")
+    return M
+
+
 def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of the exactly symmetric M, or NotSPD."""
-    if not np.all(np.isfinite(M)):
-        raise NotSPD(f"{what} has non-finite entries")
+    finite(M, what)
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -85,6 +98,16 @@ def eigvalsh_sym(M: np.ndarray) -> np.ndarray:
 def eigh_sym(M: np.ndarray):
     """Eigendecomposition (w ascending, U orthogonal) of the symmetrized input."""
     return np.linalg.eigh(sym(M))
+
+
+def psd_spectrum(M: np.ndarray, what: str, indefinite: str = _INDEFINITE,
+                 eig=eigvalsh_sym) -> np.ndarray:
+    """Ascending eigenvalues eig(M) of the finite M; NotSPD with ``indefinite``
+    if the lowest lies below −PSD_RTOL·max(1, |λ_max|)."""
+    w = eig(finite(M, what))
+    if w[0] < -PSD_RTOL * max(1.0, abs(w[-1])):
+        raise NotSPD(indefinite.format(what=what, low=w[0]))
+    return w
 
 
 def spectral_radius(M: np.ndarray) -> float:

@@ -28,13 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from robkf.contraction import certify, thompson_metric
-from robkf.errors import (
-    ConfigError,
-    ModelError,
-    ModelIOError,
-    NumericError,
-    RiskSensitiveModeUnsupported,
-)
+from robkf.errors import ConfigError, ModelError, ModelIOError, NumericError, RobkfError
 from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
 from robkf.model import load_model, simulate
 
@@ -208,9 +202,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub, model=True):
-    if model:
-        sub.add_argument("--model", required=True, help="model JSON file")
+def _add_common(sub):
+    sub.add_argument("--model", required=True, help="model JSON file")
     sub.add_argument("--out", dest="out", default=None, help="output file (default stdout)")
 
 
@@ -286,15 +279,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"tau must lie in [0, 1], got {tau}")
         log.info("arguments: %s", {k: v for k, v in vars(args).items() if k != "func"})
         return args.func(args)
-    except (ConfigError, RiskSensitiveModeUnsupported) as exc:
+    except RobkfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ModelError) else 3 if isinstance(exc, NumericError) else 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ provably converges to a unique fixed point.
 """
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from robkf import _linalg
 from robkf.divergence import check_tau, gamma
 from robkf.errors import (
     ConfigError,
+    DimensionMismatch,
     DomainViolation,
     NotObservable,
     NotReachable,
@@ -30,7 +32,7 @@ from robkf.errors import (
 )
 from robkf.model import NormalizedModel, StateSpaceModel, normalize
 from robkf.model import observability_matrix, powers_matrix, reachability_matrix
-from robkf.riccati import predict_covariance
+from robkf.riccati import FilterConfig, _recursion
 
 __all__ = [
     "DownsampledSystem",
@@ -68,11 +70,14 @@ def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
 
     Returns (sqrt(s) / (1 + sqrt(1+s)))² with s the largest eigenvalue
     of W1⁻¹ Mᵀ W2⁻¹ M, computed through Cholesky whitening. Always in
-    [0, 1): the map is a strict contraction.
+    [0, 1): the map is a strict contraction. Shapes that do not fit the
+    map raise DimensionMismatch.
     """
-    M = np.asarray(M, dtype=float)
-    L1 = _linalg.cholesky_spd(np.asarray(W1, dtype=float), "W1")
-    K = M.T @ _linalg.solve_spd(np.asarray(W2, dtype=float), M, "W2")
+    M, W1, W2 = (np.asarray(X, dtype=float) for X in (M, W1, W2))
+    if M.ndim != 2 or W1.shape != (M.shape[1],) * 2 or W2.shape != (M.shape[0],) * 2:
+        raise DimensionMismatch(f"shapes M {M.shape}, W1 {W1.shape}, W2 {W2.shape} do not fit")
+    L1 = _linalg.cholesky_spd(W1, "W1")
+    K = M.T @ _linalg.solve_spd(W2, M, "W2")
     s = max(float(_linalg.generalized_eigvalsh(K, L1)[-1]), 0.0) if M.size else 0.0
     root = np.sqrt(s)
     return float((root / (1.0 + np.sqrt(1.0 + s))) ** 2)
@@ -84,9 +89,15 @@ class DownsampledSystem:
 
     Carries the block reachability/observability structure (R_N, O_N,
     O_N_R), the block noise and impulse-response matrices (D_N, H_N,
-    L_N), the derived J_N and Omega_N, and the threshold tilde_phi_N
-    above which the lifted map's domain collapses. G_N, Z, T, and A_N
-    are cached intermediates reused by the map and by find_phi_N.
+    L_N), the derived J_N, Omega_N and T = L_N Z⁻¹ L_Nᵀ with
+    Z = I + H_Nᵀ(D_N D_Nᵀ)⁻¹H_N, and tilde_phi_N = 1/lam_max(T), above
+    which the lifted map's domain collapses. H_N and L_N have zero first
+    block columns, so Z = diag(I_m, ·) and R_N = [B, A L₁] with L₁ the
+    top block row of L_N. Under a reweighting bar_phi the map therefore
+    reads only T, J_N, Omega_N, A and B: with
+    Y = (I − T bar_phi)⁻¹ [J_N, T[:, :n]], alpha = A Y[:n, :n],
+    Omega = Omega_N − J_Nᵀ bar_phi Y[:, :n] and W = B Bᵀ + A Y[:n, n:] Aᵀ,
+    so W = R_N Z⁻¹ R_Nᵀ = B Bᵀ + A T[:n, :n] Aᵀ at bar_phi = 0.
     """
 
     model: NormalizedModel
@@ -99,11 +110,8 @@ class DownsampledSystem:
     L_N: np.ndarray
     J_N: np.ndarray
     Omega_N: np.ndarray
-    tilde_phi_N: float
-    G_N: np.ndarray
-    Z: np.ndarray
     T: np.ndarray
-    A_N: np.ndarray
+    tilde_phi_N: float
 
 
 def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
@@ -171,50 +179,49 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         if N >= n:
             raise NotObservable(f"Omega_N is not positive definite at N={N} >= n={n}")
         log.info("Omega_N singular at N=%d < n=%d", N, n)
-    W0 = _linalg.sym(R_N @ _linalg.solve_spd(Z, R_N.T, "Z"))
+    W0 = _linalg.sym(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T)
     if N >= n and not _linalg.is_spd(W0):
         raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
 
     D_N = np.kron(np.eye(N), model.D)
     return DownsampledSystem(
         model=model, N=N, R_N=R_N, O_N=O_N, O_N_R=O_N_R, D_N=D_N, H_N=H_N,
-        L_N=L_N, J_N=J_N, Omega_N=Omega_N, tilde_phi_N=tilde_phi_N,
-        G_N=G_N, Z=Z, T=T, A_N=model.A @ O_N_R[:n],
+        L_N=L_N, J_N=J_N, Omega_N=Omega_N, T=T, tilde_phi_N=tilde_phi_N,
     )
 
 
-def _reweighted_blocks(ds: DownsampledSystem, bar_phi: np.ndarray):
-    """Omega, Q, W of the lifted map under the block reweighting bar_phi.
-
-    Q must stay PD for the map to exist; solve_spd raises NotSPD past
-    the boundary.
-    """
-    Nn = ds.L_N.shape[0]
-    M = np.linalg.solve(np.eye(Nn) - bar_phi @ ds.T, bar_phi)
-    Omega = _linalg.sym(ds.Omega_N - ds.J_N.T @ M @ ds.J_N)
-    Q = _linalg.sym(ds.Z - ds.L_N.T @ bar_phi @ ds.L_N)
-    W = _linalg.sym(ds.R_N @ _linalg.solve_spd(Q, ds.R_N.T, "Q"))
-    return Omega, Q, W
+def _map_blocks(ds: DownsampledSystem, bar_phi: np.ndarray):
+    """alpha, Omega, W of the lifted map under the block reweighting bar_phi,
+    from one solve against I − T bar_phi (see DownsampledSystem)."""
+    n, A = ds.model.n, ds.model.A
+    K = np.eye(ds.T.shape[0]) - ds.T @ bar_phi
+    Y = np.linalg.solve(K, np.hstack([ds.J_N, ds.T[:, :n]]))
+    alpha = A @ Y[:n, :n]
+    Omega = _linalg.sym(ds.Omega_N - ds.J_N.T @ bar_phi @ Y[:, :n])
+    W = _linalg.sym(ds.model.B @ ds.model.B.T + A @ Y[:n, n:] @ A.T)
+    return alpha, Omega, W
 
 
 def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -> np.ndarray:
     """One application of the lifted map: alpha (P⁻¹ + Omega)⁻¹ alphaᵀ + W.
 
     ``bar_phi`` collects N per-step reweightings as an (Nn, Nn)
-    block-diagonal PSD matrix with every eigenvalue below tilde_phi_N.
-    With bar_phi = 0 the result is exactly N compositions of the
-    standard Riccati map; with N identical blocks Phi it is N
-    compositions of the fixed-Phi map.
+    block-diagonal PSD matrix with every eigenvalue below tilde_phi_N,
+    and P is n×n (DimensionMismatch otherwise). With bar_phi = 0 the
+    result is exactly N compositions of the standard Riccati map; with
+    N identical blocks Phi it is N compositions of the fixed-Phi map.
 
-    The block system defining alpha is solved with its right block
-    column scaled through by -bar_phi, which keeps singular bar_phi
-    (including zero) exact instead of requiring bar_phi⁻¹.
+    alpha, Omega and W come from one solve with I − T bar_phi (see
+    DownsampledSystem), which exists below tilde_phi_N and keeps
+    singular bar_phi (zero included) exact.
     """
     bar_phi = _linalg.sym(np.asarray(bar_phi, dtype=float))
     P = np.asarray(P, dtype=float)
-    Nn = ds.L_N.shape[0]
+    Nn, n = ds.L_N.shape[0], ds.model.n
     if bar_phi.shape != (Nn, Nn):
         raise DomainViolation(f"bar_phi must have shape ({Nn}, {Nn}), got {bar_phi.shape}")
+    if P.shape != (n, n):
+        raise DimensionMismatch(f"P must have shape ({n}, {n}), got {P.shape}")
     w = _linalg.eigvalsh_sym(bar_phi)
     if w[0] < -1e-10:
         raise DomainViolation(f"bar_phi must be PSD (min eigenvalue {w[0]:.3e})")
@@ -222,16 +229,10 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
         raise DomainViolation(
             f"bar_phi eigenvalue {w[-1]:.6e} reaches tilde_phi_N = {ds.tilde_phi_N:.6e}"
         )
-
-    Np = ds.G_N.shape[0]
-    top = np.hstack([ds.G_N, -(ds.H_N @ ds.L_N.T) @ bar_phi])
-    bot = np.hstack([ds.L_N @ ds.H_N.T, np.eye(Nn) - (ds.L_N @ ds.L_N.T) @ bar_phi])
     try:
-        Y = np.linalg.solve(np.vstack([top, bot]), np.vstack([ds.O_N, ds.O_N_R]))
-        Omega, _, W = _reweighted_blocks(ds, bar_phi)
-    except (np.linalg.LinAlgError, NotSPD) as exc:
+        alpha, Omega, W = _map_blocks(ds, bar_phi)
+    except np.linalg.LinAlgError as exc:
         raise DomainViolation(f"lifted map undefined for this bar_phi: {exc}") from exc
-    alpha = ds.A_N - ds.R_N @ (ds.H_N.T @ Y[:Np] - ds.L_N.T @ (bar_phi @ Y[Np:]))
     try:
         X = _linalg.inv_spd(_linalg.inv_spd(P, "P") + Omega, "P⁻¹ + Omega")
     except NotSPD as exc:
@@ -245,8 +246,8 @@ def find_phi_N(ds: DownsampledSystem) -> float:
     Closed form from one symmetric eigenproblem. By the Schur
     complement, Omega(phi) = Omega_N − J_Nᵀ(phi⁻¹I − T)⁻¹J_N is PD
     exactly when phi < 1/lam_max(T + J_N Omega_N⁻¹ J_Nᵀ), and
-    W(phi) = R_N Q(phi)⁻¹ R_Nᵀ is PD for every phi < tilde_phi_N when
-    R_N has full row rank. The threshold is returned a relative 1e-9
+    W(phi) is PD for every phi < tilde_phi_N when R_N has full row
+    rank. The threshold is returned a relative 1e-9
     inside that strict edge. Since T + J_N Omega_N⁻¹ J_Nᵀ ⪰ T, it also
     lies at least that far below tilde_phi_N = 1/lam_max(T), where the
     map's domain ends.
@@ -295,22 +296,10 @@ class ConvergenceCertificate:
     theta_max: Optional[float] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "tau": self.tau,
-            "q": self.q,
-            "N": self.N,
-            "mode": self.mode,
-            "P_bar_q": self.P_bar_q.tolist(),
-            "sigma_n": self.sigma_n,
-            "tilde_phi_N": self.tilde_phi_N,
-            "phi_N": self.phi_N,
-            "theta_bar": self.theta_bar,
-        }
-        if self.c_max is not None:
-            out["c_max"] = self.c_max
-        if self.theta_max is not None:
-            out["theta_max"] = self.theta_max
-        return out
+        """The fields in declaration order, P_bar_q as nested lists, unset bounds left out."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["P_bar_q"] = self.P_bar_q.tolist()
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def certify(
@@ -322,12 +311,12 @@ def certify(
 ) -> ConvergenceCertificate:
     """Certify convergence of the robust (or tau=1 risk-sensitive) filter.
 
-    Runs q gain-form Riccati steps (``predict_covariance``) from B Bᵀ
-    to get the floor P_bar_q that every robust trajectory dominates,
-    computes the reweighting threshold phi_N of the N-block lifted
-    system in closed form (``find_phi_N``), converts it through
-    sigma_n = lambda_min(P_bar_q) into the risk bound theta_bar, and
-    evaluates the budget c_max = gamma(P_bar_q, theta_bar, tau).
+    Runs q steps of the standard gain-form recursion (the filters'
+    kernel) from B Bᵀ to get the floor P_bar_q that every robust
+    trajectory dominates, computes the reweighting threshold phi_N of
+    the N-block lifted system in closed form (``find_phi_N``), converts
+    it through sigma_n = lambda_min(P_bar_q) into the risk bound
+    theta_bar, and evaluates the budget c_max = gamma(P_bar_q, theta_bar, tau).
 
     Parameters
     ----------
@@ -363,9 +352,8 @@ def certify(
     if not isinstance(N, (int, np.integer)) or N < nm.n:
         raise ConfigError(f"N must be an integer >= n = {nm.n}, got {N!r}")
 
-    P_bar = nm.B @ nm.B.T
-    for _ in range(q):
-        P_bar = predict_covariance(nm, P_bar)
+    burn_in = _recursion(nm, FilterConfig.standard(), nm.B @ nm.B.T)
+    P_bar = next(itertools.islice(burn_in, q - 1, None))[1]
     sigma_n = float(_linalg.eigvalsh_sym(P_bar)[0])
     if sigma_n <= 0.0:
         raise NotSPD(f"P_bar_q is singular after q={q} steps; increase q")

@@ -70,6 +70,8 @@ class GaussianDensity:
             raise DimensionMismatch(
                 f"mean shape {mean.shape} and cov shape {cov.shape} are inconsistent"
             )
+        if not np.isfinite(mean).all():
+            raise DomainViolation("mean has non-finite entries")
         _linalg.cholesky_spd(cov, "cov")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -109,30 +111,25 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _finite_square(P: np.ndarray) -> np.ndarray:
-    """P as a float array; DimensionMismatch unless square and nonempty, NotSPD
-    unless finite."""
+def _square(P: np.ndarray) -> np.ndarray:
+    """P as a float array; DimensionMismatch unless square and nonempty."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
         raise DimensionMismatch(f"P must be a nonempty square matrix, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise NotSPD("P has non-finite entries")
     return P
 
 
-def _psd_spectrum(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues w of P clipped at zero, rejecting clearly indefinite P."""
-    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise NotSPD(f"P has a negative eigenvalue ({w[0]:.3e})")
+def _psd_spectrum(P: np.ndarray, eig=_linalg.eigvalsh_sym) -> np.ndarray:
+    """Ascending eigenvalues of the square P (by ``eig``) clipped at zero; NotSPD
+    unless P is finite and not clearly indefinite."""
+    w = _linalg.psd_spectrum(_square(P), "P", "P has a negative eigenvalue ({low:.3e})", eig)
     return np.clip(w, 0.0, None)
 
 
 def _positive_eigh(P: np.ndarray):
     """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD
     unless P is finite and positive definite."""
-    if not np.isfinite(P).all():
-        raise NotSPD("P has non-finite entries")
-    w, U = np.linalg.eigh(P)
+    w, U = np.linalg.eigh(_linalg.finite(P, "P"))
     if not w[0] > 0.0:
         raise NotSPD("P is not symmetric positive definite")
     return w, U
@@ -218,7 +215,7 @@ def gamma(P: np.ndarray, theta: float, tau: float) -> float:
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
-    d = _psd_spectrum(_linalg.eigvalsh_sym(_finite_square(P)))
+    d = _psd_spectrum(P)
     with np.errstate(over="ignore", invalid="ignore"):
         return _gamma_and_slope(d, theta, tau)[0]
 
@@ -270,7 +267,7 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
     c = _scalar(c, "radius c")
     if not c > 0.0:
         raise DomainViolation(f"radius c must be positive, got {c}")
-    d = _psd_spectrum(_linalg.eigh_sym(_finite_square(P))[0])
+    d = _psd_spectrum(P, lambda M: _linalg.eigh_sym(M)[0])
     if d[-1] <= 0.0:
         raise NotSPD("P is numerically zero")
     if c == math.inf:
@@ -372,7 +369,7 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
-    P = _linalg.sym(_finite_square(P))
+    P = _linalg.sym(_linalg.finite(_square(P), "P"))
     if theta == 0.0:
         return P
     w, U = _positive_eigh(P)
@@ -382,10 +379,11 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Inverse gap P⁻¹ − V⁻¹ for Loewner-ordered V ≥ P, symmetrized.
 
-    Raises NotOrdered if V − P has an eigenvalue below −1e-10. The
+    Raises NotOrdered if V − P has an eigenvalue below −1e-10, and
+    DimensionMismatch unless P is square and V has its shape. The
     result is PSD, and PD whenever the ordering is strict.
     """
-    P = np.asarray(P, dtype=float)
+    P = _square(P)
     V = np.asarray(V, dtype=float)
     if P.shape != V.shape:
         raise DimensionMismatch(f"P shape {P.shape} != V shape {V.shape}")

@@ -83,10 +83,13 @@ def run_filter(
     as their covariance recursions do. Accepts T = 0 observations and
     returns the prior alone.
 
-    Raises DimensionMismatch if observations are not (T, p), and lets
+    Raises ConfigError if config is not a FilterConfig and
+    DimensionMismatch if observations are not (T, p), and lets
     DomainViolation from a risk-sensitive theta outside the admissible
     range propagate.
     """
+    if not isinstance(config, FilterConfig):
+        raise ConfigError(f"expected a FilterConfig, got {config!r}")
     y = np.asarray(observations, dtype=float)
     if y.ndim == 1 and model.p == 1:
         y = y.reshape(-1, 1)
@@ -142,11 +145,13 @@ def compare_filters(
     """Simulate one trajectory and run every config against it.
 
     Labels come from FilterConfig.label(); duplicates get a numeric
-    suffix so columns stay addressable.
+    suffix so columns stay addressable. Raises ConfigError unless every
+    config is a FilterConfig and seed a nonnegative integer.
     """
     if not configs:
         raise ConfigError("compare_filters needs at least one filter config")
     trajectory = simulate(model, steps, seed)
+    runs = tuple(run_filter(model, c, trajectory.observations) for c in configs)
     labels = []
     for config in configs:
         base = config.label()
@@ -155,7 +160,6 @@ def compare_filters(
             label = f"{base}_{k}"
             k += 1
         labels.append(label)
-    runs = tuple(run_filter(model, c, trajectory.observations) for c in configs)
     return ComparisonTable(trajectory=trajectory, labels=tuple(labels), runs=runs)
 
 

@@ -264,10 +264,12 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
 
     x₀ is drawn as x0_mean + L z with L the lower Cholesky factor of V0
     and z standard normal; each step then draws v_k ~ N(0, I_m). The
-    result is a deterministic function of (model, steps, seed).
+    result is a deterministic function of (model, steps, seed). A steps
+    or seed that is not a nonnegative integer raises ConfigError.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ConfigError(f"steps must be a nonnegative integer, got {steps!r}")
+    for name, value in (("steps", steps), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
     x = model.x0_mean + L0 @ rng.standard_normal(model.n)

@@ -40,7 +40,7 @@ from robkf.errors import (
     ModelError,
     NotSPD,
 )
-from robkf.model import StateSpaceModel
+from robkf.model import CROSS_COV_TOL, StateSpaceModel
 
 __all__ = [
     "FilterConfig",
@@ -236,7 +236,7 @@ class FixedPointReport:
 
 def _require_uncorrelated(model: StateSpaceModel) -> None:
     cross = np.max(np.abs(model.B @ model.D.T), initial=0.0)
-    if cross > 1e-12:
+    if cross > CROSS_COV_TOL:
         raise ModelError(
             f"model has correlated noise (max |B Dᵀ| = {cross:.3e}); normalize() first"
         )
@@ -247,15 +247,6 @@ def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
     if M.shape != (model.n, model.n):
         raise DimensionMismatch(f"{what} must have shape ({model.n}, {model.n}), got {M.shape}")
     return M
-
-
-def _require_psd(M: np.ndarray, what: str) -> None:
-    """NotSPD unless M is finite and no eigenvalue lies below −1e-10·max(1, |λ_max|)."""
-    if not np.all(np.isfinite(M)):
-        raise NotSPD(f"{what} has non-finite entries")
-    w = _linalg.eigvalsh_sym(M)
-    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise NotSPD(f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
 
 
 def _observation_information(model: StateSpaceModel) -> np.ndarray:
@@ -307,7 +298,7 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     try:
         Pi = _linalg.inv_spd(P, "P")
     except NotSPD:
-        _require_psd(P, "P")
+        _linalg.psd_spectrum(P, "P")
         return predict_covariance(model, P)
     X = _linalg.inv_spd(Pi + _observation_information(model), "P⁻¹ + Cᵀ(DDᵀ)⁻¹C")
     return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
@@ -435,7 +426,7 @@ def iterate_to_fixed_point(
         raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
     _require_uncorrelated(model)
     V0 = _linalg.sym(_square(model, start, "start"))
-    _require_psd(V0, "start")
+    _linalg.psd_spectrum(V0, "start")
 
     P_prev: np.ndarray | None = None
     dist = float("inf")

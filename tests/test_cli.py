@@ -97,8 +97,20 @@ def test_config_errors_exit_1(model_file, capsys):
     assert main(["run", "--model", model_file, "--kind", "robust",
                  "--c", "0.1", "--steps", "3"]) == 1  # missing --tau
     assert main(["compare", "--model", model_file, "--filter", "robust:c=0.1"]) == 1
+    assert main(["certify", "--model", model_file, "--tau", "0.5",
+                 "--mode", "risk_sensitive"]) == 1  # RiskSensitiveModeUnsupported
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_negative_seed_exits_1(model_file, capsys):
+    assert main(["run", "--model", model_file, "--kind", "standard",
+                 "--steps", "5", "--seed", "-1"]) == 1
+    assert main(["compare", "--model", model_file, "--filter", "standard",
+                 "--steps", "5", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n" * 2
 
 
 def test_metric_values(tmp_path, capsys):

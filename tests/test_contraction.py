@@ -7,6 +7,7 @@ import scipy.linalg as la
 
 from robkf import (
     ConfigError,
+    DimensionMismatch,
     DomainViolation,
     NormalizedModel,
     NotObservable,
@@ -23,15 +24,16 @@ from robkf import (
     gamma,
     normalize,
     phi_gap,
+    predict_covariance,
     risk_sensitive_map,
     solve_theta,
     standard_riccati,
     thompson_metric,
     v_update,
 )
-from robkf.contraction import _reweighted_blocks
+from robkf.contraction import _map_blocks
 
-from conftest import random_spd
+from conftest import random_model, random_spd
 
 
 def test_thompson_metric_basics():
@@ -74,6 +76,17 @@ def test_contraction_bound_values():
     assert contraction_bound(np.eye(2), np.eye(2), np.eye(2)) == pytest.approx(want, rel=1e-12)
     with pytest.raises(NotSPD):
         contraction_bound(np.eye(2), -np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("M,W1,W2", [
+    (np.eye(2), np.eye(3), np.eye(2)),
+    (np.eye(2), np.eye(2), np.eye(3)),
+    (np.ones((2, 3)), np.eye(2), np.eye(2)),
+    (np.ones(2), np.eye(2), np.eye(2)),
+])
+def test_contraction_bound_shape_mismatch(M, W1, W2):
+    with pytest.raises(DimensionMismatch):
+        contraction_bound(M, W1, W2)
 
 
 def test_contraction_bound_dominates_empirical_ratios():
@@ -131,7 +144,9 @@ def test_build_downsampled_structure(example_normalized):
     np.testing.assert_array_equal(ds.O_N[-p:], m.C)
     np.testing.assert_array_equal(ds.O_N_R[-n:], np.eye(n))
     np.testing.assert_allclose(ds.O_N[:p], m.C @ Apow[N - 1], atol=1e-14)
-    np.testing.assert_allclose(ds.A_N, Apow[N], atol=1e-14)
+    # R_N = [B, A L₁] with L₁ the top block row of L_N, which the map's
+    # one-solve form rests on
+    np.testing.assert_allclose(ds.R_N[:, mm:], m.A @ ds.L_N[:n, mm:], rtol=1e-14, atol=0)
 
 
 def test_build_downsampled_rejects_bad_n(example_normalized):
@@ -186,8 +201,8 @@ def test_reweighting_monotone(example_normalized):
     ds = build_downsampled(example_normalized, 5)
     phis = [0.0, 0.2 * ds.tilde_phi_N, 0.5 * ds.tilde_phi_N, 0.8 * ds.tilde_phi_N]
     Nn = ds.L_N.shape[0]
-    blocks = [_reweighted_blocks(ds, phi * np.eye(Nn)) for phi in phis]
-    for (O1, _, W1), (O2, _, W2) in zip(blocks, blocks[1:]):
+    blocks = [_map_blocks(ds, phi * np.eye(Nn)) for phi in phis]
+    for (_, O1, W1), (_, O2, W2) in zip(blocks, blocks[1:]):
         assert np.min(np.linalg.eigvalsh(O1 - O2)) >= -1e-10
         assert np.min(np.linalg.eigvalsh(W2 - W1)) >= -1e-10
 
@@ -195,7 +210,7 @@ def test_reweighting_monotone(example_normalized):
 def test_zero_reweighting_closed_form(example_normalized):
     ds = build_downsampled(example_normalized, 4)
     Nn = ds.L_N.shape[0]
-    _, _, W0 = _reweighted_blocks(ds, np.zeros((Nn, Nn)))
+    _, _, W0 = _map_blocks(ds, np.zeros((Nn, Nn)))
     Z = np.eye(ds.H_N.shape[1]) + ds.H_N.T @ np.linalg.solve(ds.D_N @ ds.D_N.T, ds.H_N)
     np.testing.assert_allclose(W0, ds.R_N @ np.linalg.solve(Z, ds.R_N.T), atol=1e-10)
 
@@ -239,6 +254,63 @@ def test_downsampled_map_constant_phi_is_rs_composition(make_model):
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-8
 
 
+def _bordered_blocks(ds, bar_phi):
+    """alpha, Omega, W of the lifted map as downsampled_map once formed them:
+    alpha from the (Np + Nn)-wide bordered system in G_N = D_N D_Nᵀ + H_N H_Nᵀ,
+    W from Q = Z − L_Nᵀ bar_phi L_N."""
+    n, Nn = ds.model.n, ds.L_N.shape[0]
+    DD_N = ds.D_N @ ds.D_N.T
+    G_N = DD_N + ds.H_N @ ds.H_N.T
+    Z = np.eye(ds.H_N.shape[1]) + ds.H_N.T @ np.linalg.solve(DD_N, ds.H_N)
+    top = np.hstack([G_N, -(ds.H_N @ ds.L_N.T) @ bar_phi])
+    bot = np.hstack([ds.L_N @ ds.H_N.T, np.eye(Nn) - (ds.L_N @ ds.L_N.T) @ bar_phi])
+    Y = np.linalg.solve(np.vstack([top, bot]), np.vstack([ds.O_N, ds.O_N_R]))
+    Np = G_N.shape[0]
+    A_N = ds.model.A @ ds.O_N_R[:n]
+    alpha = A_N - ds.R_N @ (ds.H_N.T @ Y[:Np] - ds.L_N.T @ (bar_phi @ Y[Np:]))
+    M = np.linalg.solve(np.eye(Nn) - bar_phi @ ds.T, bar_phi)
+    Omega = ds.Omega_N - ds.J_N.T @ M @ ds.J_N
+    W = ds.R_N @ np.linalg.solve(Z - ds.L_N.T @ bar_phi @ ds.L_N, ds.R_N.T)
+    return alpha, Omega, W
+
+
+def _bordered_map(ds, bar_phi, P):
+    alpha, Omega, W = _bordered_blocks(ds, bar_phi)
+    return alpha @ np.linalg.inv(np.linalg.inv(P) + Omega) @ alpha.T + W
+
+
+def _random_block_phi(rng, n, N, top):
+    """Random block-diagonal PSD (Nn, Nn) matrix with largest eigenvalue top."""
+    blocks = [random_spd(rng, n) for _ in range(N)]
+    bar_phi = la.block_diag(*blocks)
+    return top * bar_phi / np.linalg.eigvalsh(bar_phi)[-1]
+
+
+def test_downsampled_map_matches_bordered_reference():
+    # alpha is compared more loosely: on the correlated n = 4 draw, whose
+    # Omega_N has condition 2e5, both forms of it sit 1e-12 to 4e-12 from
+    # a 50-digit evaluation on the same inputs
+    rng = np.random.default_rng(20)
+    worst = np.zeros(4)
+    for i in range(32):
+        n = 1 + i % 4
+        model = normalize(random_model(rng, n=n, correlated=bool(i // 4 % 2)))
+        N = int(rng.integers(n, 12))
+        ds = build_downsampled(model, N)
+        phi_N = find_phi_N(ds)
+        P = random_spd(rng, n)
+        for scale in (0.0, 0.3, 0.9):
+            bar_phi = _random_block_phi(rng, n, N, scale * phi_N)
+            got = [*_map_blocks(ds, bar_phi), downsampled_map(ds, bar_phi, P)]
+            want = [*_bordered_blocks(ds, bar_phi), _bordered_map(ds, bar_phi, P)]
+            err = [np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in zip(got, want)]
+            worst = np.maximum(worst, err)
+    alpha_err, omega_err, w_err, map_err = worst
+    assert map_err <= 1e-12
+    assert omega_err <= 1e-12 and w_err <= 1e-12
+    assert alpha_err <= 1e-10
+
+
 def test_downsampled_map_domain_checks(example_normalized):
     ds = build_downsampled(example_normalized, 3)
     P = np.eye(2)
@@ -248,6 +320,9 @@ def test_downsampled_map_domain_checks(example_normalized):
         downsampled_map(ds, -1e-6 * np.eye(6), P)
     with pytest.raises(DomainViolation):
         downsampled_map(ds, np.zeros((4, 4)), P)
+    for bad_P in (np.eye(3), np.ones(2)):
+        with pytest.raises(DimensionMismatch):
+            downsampled_map(ds, np.zeros((6, 6)), bad_P)
 
 
 def test_find_phi_golden(example_normalized):
@@ -255,7 +330,7 @@ def test_find_phi_golden(example_normalized):
     phi = find_phi_N(ds)
     assert phi == pytest.approx(1.3328e-3, rel=5e-3)
     assert 0 < phi < ds.tilde_phi_N
-    Omega, _, W = _reweighted_blocks(ds, phi * np.eye(100))
+    _, Omega, W = _map_blocks(ds, phi * np.eye(100))
     assert np.min(np.linalg.eigvalsh(Omega)) > 0
     assert np.min(np.linalg.eigvalsh(W)) > 0
 
@@ -354,6 +429,17 @@ def test_certify_monotone_in_q(example_model):
     assert c60 >= c40 - 1e-12
 
 
+def test_certify_floor_is_q_gain_form_steps(example_model):
+    # P_bar_q is q predict_covariance steps from B Bᵀ, bit for bit
+    models = [example_model, random_model(np.random.default_rng(21), n=3, correlated=True)]
+    for model in models:
+        nm = normalize(model)
+        P = nm.B @ nm.B.T
+        for q in range(1, 6):
+            P = predict_covariance(nm, P)
+            assert np.array_equal(certify(model, 0.5, q=q, N=max(nm.n, 10)).P_bar_q, P)
+
+
 def test_certify_risk_sensitive(example_model):
     cert = certify(example_model, 1.0, mode="risk_sensitive")
     assert cert.c_max is None
@@ -375,6 +461,8 @@ def test_certify_config_errors(example_model):
 def test_certificate_serializes(example_model):
     cert = certify(example_model, 0.0)
     payload = json.loads(json.dumps(cert.as_dict()))
+    assert list(payload) == ["tau", "q", "N", "mode", "P_bar_q", "sigma_n", "tilde_phi_N",
+                             "phi_N", "theta_bar", "c_max"]
     assert payload["mode"] == "robust"
     assert payload["c_max"] == pytest.approx(cert.c_max)
     assert np.asarray(payload["P_bar_q"]).shape == (2, 2)
@@ -388,7 +476,6 @@ def test_certified_run_keeps_phi_below_phi_n(example_model):
     cert = certify(example_model, tau)
     model = normalize(example_model)
     V = np.eye(2)
-    from robkf import predict_covariance
     for k in range(1, 121):
         P = predict_covariance(model, V)
         theta = solve_theta(P, cert.c_max, tau)

@@ -30,6 +30,10 @@ def test_gaussian_density_validation():
         GaussianDensity(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         GaussianDensity(mean=np.zeros(3), cov=np.eye(2))
+    with pytest.raises(DomainViolation, match="mean has non-finite entries"):
+        GaussianDensity(mean=[np.nan, 0.0], cov=np.eye(2))
+    with pytest.raises(DomainViolation):
+        GaussianDensity(mean=[np.inf, 0.0], cov=np.eye(2))
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -303,6 +307,9 @@ _NAN_ENTRY = np.array([[1.0, np.nan], [np.nan, 1.0]])
     (phi_upper_bound, (np.nan, 0.5, 1.0), DomainViolation),
     (phi_upper_bound, (0.1, "half", 1.0), DomainViolation),
     (phi_upper_bound, (0.1, 0.5, np.nan), DomainViolation),
+    (phi_gap, (np.ones(2), np.ones(2)), DimensionMismatch),
+    (phi_gap, (np.ones((2, 3)), np.ones((2, 3))), DimensionMismatch),
+    (phi_gap, (np.eye(2), np.eye(3)), DimensionMismatch),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_divergence_inputs_raise_typed_errors(function, args, error):
     with pytest.raises(error):

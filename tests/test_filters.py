@@ -433,6 +433,15 @@ def test_compare_rejects_empty(example_model):
         compare_filters(example_model, [], steps=5, seed=0)
 
 
+def test_non_config_filters_raise_config_error(example_model):
+    with pytest.raises(ConfigError, match="expected a FilterConfig"):
+        run_filter(example_model, "robust", np.zeros((5, 1)))
+    with pytest.raises(ConfigError, match="expected a FilterConfig"):
+        compare_filters(example_model, ["standard"], 5, 0)
+    with pytest.raises(ConfigError, match="expected a FilterConfig"):
+        compare_filters(example_model, [FilterConfig.standard(), None], 5, 0)
+
+
 def _write(path, text):
     path.write_text(text)
     return path

@@ -240,6 +240,12 @@ def test_simulate_rejects_non_integer_steps(example_model, steps):
         simulate(example_model, steps, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_simulate_rejects_bad_seed(example_model, seed):
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        simulate(example_model, 5, seed)
+
+
 def test_trajectory_length_mismatch():
     with pytest.raises(DimensionMismatch):
         Trajectory(states=np.zeros((3, 2)), observations=np.zeros((2, 1)), seed=0)
