@@ -34,8 +34,9 @@ _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetrize, suppressing floating-point asymmetry drift."""
-    return 0.5 * (M + M.T)
+    """Symmetrize a matrix, or each matrix of a stack, suppressing
+    floating-point asymmetry drift."""
+    return 0.5 * (M + M.mT)
 
 
 def finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:

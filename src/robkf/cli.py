@@ -12,12 +12,14 @@ Every command is deterministic given its arguments: simulation draws
 come from numpy.random.default_rng(seed) (PCG64) via standard_normal,
 for the initial state x0 = x0_mean + chol(V0) z and the per-step noise
 v_k alike. Numbers are written in shortest round-trip decimal form, so
-re-reading a CSV reproduces the doubles exactly.
+re-reading a CSV reproduces the doubles exactly. Each trajectory's
+columns are gathered into one array and formatted row by row from it;
+``compare`` runs its panel as one filter bank, and its default panel
+certifies the model once for all three tau.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from robkf.contraction import certify, thompson_metric
+from robkf.contraction import _certify_each, certify, thompson_metric
 from robkf.errors import ConfigError, ModelError, ModelIOError, NumericError, RobkfError
 from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
 from robkf.model import load_model, simulate
@@ -56,22 +58,17 @@ def _upper_tri_names(name: str, n: int) -> list:
     return [f"{name}_{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-def _upper_tri_values(M: np.ndarray) -> list:
-    n = M.shape[0]
-    return [M[i, j] for i in range(n) for j in range(i, n)]
-
-
-def _emit_csv(header: list, rows: list, output_path: Optional[str]) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
+def _emit_csv(header: list, blocks: list, output_path: Optional[str]) -> None:
+    """Write the header, then row k = 1 .. T of the trajectory blocks side by
+    side, each number in shortest round-trip form."""
+    rows = np.hstack(blocks).tolist()
+    text = "".join([",".join(header) + "\n"]
+                   + [f"{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows, 1)])
     if output_path is None:
-        write(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(output_path, "w", newline="") as fh:
-            write(fh)
+            fh.write(text)
 
 
 def _trajectory_columns(prefix: str, n: int) -> list:
@@ -79,13 +76,12 @@ def _trajectory_columns(prefix: str, n: int) -> list:
             + _upper_tri_names(f"{prefix}V", n) + [f"{prefix}theta"])
 
 
-def _trajectory_row(k: int, ft) -> list:
-    row = [str(k)]
-    row += [_fmt(v) for v in ft.estimates[k]]
-    row += [_fmt(v) for v in _upper_tri_values(ft.P_seq[k - 1])]
-    row += [_fmt(v) for v in _upper_tri_values(ft.V_seq[k])]
-    row.append(_fmt(ft.theta_seq[k - 1]))
-    return row
+def _trajectory_block(ft) -> np.ndarray:
+    """Rows k = 1 .. T of one trajectory's columns as one (T, cols) array:
+    xhat_k, the upper triangles of P_k and V_k, theta_k."""
+    i, j = np.triu_indices(ft.P_seq.shape[-1])
+    return np.hstack([ft.estimates[1:], ft.P_seq[:, i, j], ft.V_seq[1:, i, j],
+                      ft.theta_seq[:, None]])
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -115,8 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         y = simulate(model, args.steps, seed).observations
 
     ft = run_filter(model, config, y)
-    rows = [_trajectory_row(k, ft) for k in range(1, ft.steps + 1)]
-    _emit_csv(["k"] + _trajectory_columns("", model.n), rows, args.out)
+    _emit_csv(["k"] + _trajectory_columns("", model.n), [_trajectory_block(ft)], args.out)
     return 0
 
 
@@ -142,10 +137,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.filter:
         configs = [_parse_filter_spec(s) for s in args.filter]
     else:
-        configs = [FilterConfig.standard()]
-        for tau in (0.0, 0.5, 1.0):
-            cert = certify(model, tau=tau, q=args.q, N=args.N)
-            configs.append(FilterConfig.robust(tau, cert.c_max))
+        configs = [FilterConfig.standard()] + [
+            FilterConfig.robust(cert.tau, cert.c_max)
+            for cert in _certify_each(model, (0.0, 0.5, 1.0), q=args.q, N=args.N)
+        ]
     steps = 100 if args.steps is None else args.steps
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
@@ -155,15 +150,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     header = ["k"]
     for label in table.labels:
         header += _trajectory_columns(f"{label}_", model.n)
-    rows = []
-    for k in range(1, steps + 1):
-        row = [str(k)]
-        for ft in table.runs:
-            row += _trajectory_row(k, ft)[1:]
-        rows.append(row)
-    _emit_csv(header, rows, args.out)
-    for label in table.labels:
-        log.info("rmse %s = %s", label, _fmt(table.rmse(label)))
+    _emit_csv(header, [_trajectory_block(ft) for ft in table.runs], args.out)
+    if log.isEnabledFor(logging.INFO):
+        for label in table.labels:
+            log.info("rmse %s = %s", label, _fmt(table.rmse(label)))
     return 0
 
 

@@ -56,12 +56,13 @@ def thompson_metric(P: np.ndarray, Q: np.ndarray) -> float:
 
     The lam_i are the generalized eigenvalues of (Q, P), so the value is
     symmetric in its arguments and invariant under inversion and joint
-    congruence. Raises NotSPD unless both arguments are SPD.
+    congruence. Raises DimensionMismatch unless P and Q have one shape,
+    and NotSPD unless both are SPD.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape:
-        raise NotSPD(f"shape mismatch {P.shape} vs {Q.shape}")
+        raise DimensionMismatch(f"shape mismatch {P.shape} vs {Q.shape}")
     return _linalg.thompson_distance(P, Q)
 
 
@@ -337,13 +338,32 @@ def certify(
     DomainViolation
         If sigma_n * phi_N >= 1, where no admissible theta_bar exists.
     """
-    tau = check_tau(tau)
+    return _certify_each(model, (tau,), q, N, mode)[0]
+
+
+def _certify_each(
+    model: StateSpaceModel,
+    taus,
+    q: int = 40,
+    N: int | None = None,
+    mode: str = "robust",
+) -> list:
+    """``certify`` at each tau in taus, the tau-independent part computed once.
+
+    That part is the model's basis: the normalization, the burn-in floor
+    P_bar_q and sigma_n, the lifted system's tilde_phi_N and phi_N, and
+    the check sigma_n * phi_N < 1; only theta_bar and c_max (or
+    theta_max) depend on tau. Each certificate equals ``certify``'s at
+    its tau bit for bit, and the same inputs raise the same errors.
+    """
+    taus = [check_tau(tau) for tau in taus]
     if mode not in ("robust", "risk_sensitive"):
         raise ConfigError(f"mode must be 'robust' or 'risk_sensitive', got {mode!r}")
-    if mode == "risk_sensitive" and tau != 1.0:
-        raise RiskSensitiveModeUnsupported(
-            f"risk-sensitive certification covers tau = 1 only, got tau = {tau}"
-        )
+    for tau in taus:
+        if mode == "risk_sensitive" and tau != 1.0:
+            raise RiskSensitiveModeUnsupported(
+                f"risk-sensitive certification covers tau = 1 only, got tau = {tau}"
+            )
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ConfigError(f"q must be a positive integer, got {q!r}")
     nm = model if isinstance(model, NormalizedModel) else normalize(model)
@@ -352,7 +372,7 @@ def certify(
     if not isinstance(N, (int, np.integer)) or N < nm.n:
         raise ConfigError(f"N must be an integer >= n = {nm.n}, got {N!r}")
 
-    burn_in = _recursion(nm, FilterConfig.standard(), nm.B @ nm.B.T)
+    burn_in = _recursion(nm, (FilterConfig.standard(),), nm.B @ nm.B.T, 0.0)
     P_bar = next(itertools.islice(burn_in, q - 1, None))[1]
     sigma_n = float(_linalg.eigvalsh_sym(P_bar)[0])
     if sigma_n <= 0.0:
@@ -365,28 +385,30 @@ def certify(
         raise DomainViolation(
             f"sigma_n * phi_N = {x:.6e} >= 1; no admissible risk parameter exists"
         )
-    if tau < 1.0:
-        theta_bar = -np.expm1((1.0 - tau) * np.log1p(-x)) / ((1.0 - tau) * sigma_n)
-    else:
-        theta_bar = -np.log1p(-x) / sigma_n
-
-    cert = ConvergenceCertificate(
-        tau=tau,
-        q=int(q),
-        N=int(N),
-        mode=mode,
-        P_bar_q=P_bar,
-        sigma_n=sigma_n,
-        tilde_phi_N=float(ds.tilde_phi_N),
-        phi_N=float(phi_N),
-        theta_bar=float(theta_bar),
-        c_max=float(gamma(P_bar, theta_bar, tau)) if mode == "robust" else None,
-        theta_max=float(theta_bar) if mode == "risk_sensitive" else None,
-    )
-    log.info(
-        "certified tau=%.3g mode=%s: phi_N=%.6e, theta_bar=%.6e, %s=%.6e",
-        tau, mode, cert.phi_N, cert.theta_bar,
-        "c_max" if mode == "robust" else "theta_max",
-        cert.c_max if mode == "robust" else cert.theta_max,
-    )
-    return cert
+    certs = []
+    for tau in taus:
+        if tau < 1.0:
+            theta_bar = -np.expm1((1.0 - tau) * np.log1p(-x)) / ((1.0 - tau) * sigma_n)
+        else:
+            theta_bar = -np.log1p(-x) / sigma_n
+        cert = ConvergenceCertificate(
+            tau=tau,
+            q=int(q),
+            N=int(N),
+            mode=mode,
+            P_bar_q=P_bar,
+            sigma_n=sigma_n,
+            tilde_phi_N=float(ds.tilde_phi_N),
+            phi_N=float(phi_N),
+            theta_bar=float(theta_bar),
+            c_max=float(gamma(P_bar, theta_bar, tau)) if mode == "robust" else None,
+            theta_max=float(theta_bar) if mode == "risk_sensitive" else None,
+        )
+        log.info(
+            "certified tau=%.3g mode=%s: phi_N=%.6e, theta_bar=%.6e, %s=%.6e",
+            tau, mode, cert.phi_N, cert.theta_bar,
+            "c_max" if mode == "robust" else "theta_max",
+            cert.c_max if mode == "robust" else cert.theta_max,
+        )
+        certs.append(cert)
+    return certs

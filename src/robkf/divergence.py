@@ -127,10 +127,11 @@ def _psd_spectrum(P: np.ndarray, eig=_linalg.eigvalsh_sym) -> np.ndarray:
 
 
 def _positive_eigh(P: np.ndarray):
-    """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD
-    unless P is finite and positive definite."""
+    """Eigendecomposition (w ascending, U) of the exactly symmetric P, or of
+    each matrix of a stack P; NotSPD unless every one is finite and positive
+    definite."""
     w, U = np.linalg.eigh(_linalg.finite(P, "P"))
-    if not w[0] > 0.0:
+    if not (w[0] if w.ndim == 1 else w[:, 0].min()) > 0.0:
         raise NotSPD("P is not symmetric positive definite")
     return w, U
 
@@ -324,9 +325,9 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
     )
 
 
-def _reweighted(w: np.ndarray, U: np.ndarray, theta: float, tau: float) -> np.ndarray:
-    """U diag(w f(w)) Uᵀ for theta > 0 and the eigendecomposition (w > 0 ascending,
-    U) of P: v_update without its input checks."""
+def _reweighting_weights(w: np.ndarray, theta: float, tau: float) -> np.ndarray:
+    """w f(w) for theta > 0 and the ascending eigenvalues w > 0 of P: the
+    spectrum of v_update(P, theta, tau), with its domain checks."""
     if tau < 1.0:
         y = 1.0 - theta * (1.0 - tau) * w
         if y[-1] <= 0.0:
@@ -339,7 +340,14 @@ def _reweighted(w: np.ndarray, U: np.ndarray, theta: float, tau: float) -> np.nd
         if x[-1] > _EXP_MAX:
             raise DomainViolation(f"theta={theta:.6e} overflows exp(theta P)")
         f = np.exp(x)
-    return _linalg.sym((U * (w * f)) @ U.T)
+    return w * f
+
+
+def _reweighted(U: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """U diag(wf) Uᵀ, symmetrized, for the eigenvectors U of P and the
+    weights wf = w f(w) of ``_reweighting_weights``. For a (K, n, n)
+    stack U, wf is (K, 1, n) and each matrix gets its own product."""
+    return _linalg.sym((U * wf) @ U.mT)
 
 
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
@@ -373,7 +381,7 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     if theta == 0.0:
         return P
     w, U = _positive_eigh(P)
-    return _reweighted(w, U, theta, tau)
+    return _reweighted(U, _reweighting_weights(w, theta, tau))
 
 
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:

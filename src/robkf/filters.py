@@ -10,15 +10,19 @@ robust filter re-solves theta_k from a fixed divergence budget c at
 every step, and the risk-sensitive filter applies one fixed theta
 throughout. ``FilterConfig`` and that reweighting step live in the
 riccati module, which the fixed-point iteration shares; this module
-re-exports ``FilterConfig``. The covariance side reads no observation,
-so ``run_filter`` takes it whole from ``riccati._covariance_sequence``
-and runs only the state update, in the closed-loop form
+re-exports ``FilterConfig``. ``compare_filters`` runs its configs as one
+filter bank and ``run_filter`` is the bank of one. The covariance side
+reads no observation, so the bank takes it whole from
+``riccati._covariance_sequence``, which steps all configs together, and
+runs only the state updates, in the closed-loop form
 xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-G_k y_k formed in one batch.
+G_k y_k formed in one batch and one stacked product per step. A run in
+a bank equals the run of its config alone bit for bit.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -81,15 +85,30 @@ def run_filter(
     The initial gain covariance is V_0 = model.V0 for every kind, so a
     robust run and a standard run agree exactly at k = 0 and separate
     as their covariance recursions do. Accepts T = 0 observations and
-    returns the prior alone.
+    returns the prior alone. The run is the bank of one in
+    ``compare_filters``' filter bank.
 
     Raises ConfigError if config is not a FilterConfig and
     DimensionMismatch if observations are not (T, p), and lets
     DomainViolation from a risk-sensitive theta outside the admissible
     range propagate.
     """
-    if not isinstance(config, FilterConfig):
-        raise ConfigError(f"expected a FilterConfig, got {config!r}")
+    return _run_bank(model, (config,), observations)[0]
+
+
+def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
+    """Run every config over the (T, p) observations as one filter bank.
+
+    ``riccati._covariance_sequence`` steps the covariance sides together;
+    the state updates then advance together, in the closed-loop form
+    xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
+    G_k y_k formed in one batch and one stacked product per step (bare
+    matrices for a bank of one). Every run equals, bit for bit, the run
+    of its config alone.
+    """
+    for config in configs:
+        if not isinstance(config, FilterConfig):
+            raise ConfigError(f"expected a FilterConfig, got {config!r}")
     y = np.asarray(observations, dtype=float)
     if y.ndim == 1 and model.p == 1:
         y = y.reshape(-1, 1)
@@ -99,19 +118,24 @@ def run_filter(
         )
     if y.size and not np.all(np.isfinite(y)):
         raise ModelError("observations contain non-finite values")
-
-    T = y.shape[0]
-    gains, P_seq, V_seq, theta_seq, cycle = _covariance_sequence(model, config, T)
+    (K, T), n = (len(configs), y.shape[0]), model.n
+    gains, P_seq, V_seq, theta_seq, cycles = _covariance_sequence(model, configs, T)
     F = model.A - gains @ model.C
-    b = (gains @ y[:, :, None])[:, :, 0]
-    estimates = np.zeros((T + 1, model.n))
-    xhat = estimates[0] = model.x0_mean
-    for k in range(T):
-        xhat = estimates[k + 1] = F[k] @ xhat + b[k]
-
-    return FilterTrajectory(
-        config=config, estimates=estimates, gains=gains,
-        P_seq=P_seq, V_seq=V_seq, theta_seq=theta_seq, cycle=cycle,
+    b = gains @ y[:, None, :, None]
+    if K == 1:  # a bank of one steps bare vectors
+        F, b, xhat = F[:, 0], b[:, 0, :, 0], model.x0_mean
+    else:  # stacks of column vectors
+        xhat = np.broadcast_to(model.x0_mean[:, None], (K, n, 1))
+    estimates = np.empty((T + 1,) + b.shape[1:])
+    estimates[0] = xhat
+    for F_k, b_k, out in zip(F, b, estimates[1:]):
+        xhat = out[...] = F_k @ xhat + b_k
+    estimates = estimates.reshape(T + 1, K, n)
+    return tuple(
+        FilterTrajectory(config=config, estimates=estimates[:, i], gains=gains[:, i],
+                         P_seq=P_seq[:, i], V_seq=V_seq[:, i], theta_seq=theta_seq[:, i],
+                         cycle=cycles[i])
+        for i, config in enumerate(configs)
     )
 
 
@@ -128,10 +152,12 @@ class ComparisonTable:
 
         estimates[k] predicts states[k] for k = 0 .. T-1; the final
         estimate extrapolates past the simulated horizon and is not
-        scored.
+        scored. A table of T = 0 steps scores nothing and returns nan.
         """
         run = self.runs[self.labels.index(label)]
         T = self.trajectory.states.shape[0]
+        if T == 0:
+            return math.nan
         err = run.estimates[:T] - self.trajectory.states
         return float(np.sqrt(np.mean(err**2)))
 
@@ -144,14 +170,19 @@ def compare_filters(
 ) -> ComparisonTable:
     """Simulate one trajectory and run every config against it.
 
-    Labels come from FilterConfig.label(); duplicates get a numeric
-    suffix so columns stay addressable. Raises ConfigError unless every
-    config is a FilterConfig and seed a nonnegative integer.
+    The configs run as one filter bank, stepped together; each run
+    equals ``run_filter`` of its config on the simulated observations,
+    bit for bit. Labels come from FilterConfig.label(); duplicates get a
+    numeric suffix so columns stay addressable. Raises ConfigError
+    unless every config is a FilterConfig and seed a nonnegative
+    integer, and the error of the first step at which any run fails
+    (DomainViolation from a risk-sensitive theta outside the admissible
+    range, say).
     """
     if not configs:
         raise ConfigError("compare_filters needs at least one filter config")
     trajectory = simulate(model, steps, seed)
-    runs = tuple(run_filter(model, c, trajectory.observations) for c in configs)
+    runs = _run_bank(model, configs, trajectory.observations)
     labels = []
     for config in configs:
         base = config.label()

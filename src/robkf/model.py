@@ -273,13 +273,13 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
     x = model.x0_mean + L0 @ rng.standard_normal(model.n)
+    v = rng.standard_normal((steps, model.m, 1))
+    Bv = (model.B @ v)[:, :, 0]
     states = np.empty((steps, model.n))
-    observations = np.empty((steps, model.p))
     for k in range(steps):
-        v = rng.standard_normal(model.m)
         states[k] = x
-        observations[k] = model.C @ x + model.D @ v
-        x = model.A @ x + model.B @ v
+        x = model.A @ x + Bv[k]
+    observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
     return Trajectory(states=states, observations=observations, seed=int(seed))
 
 

@@ -8,16 +8,20 @@ standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
 filter applies a fixed theta. The robust reweighting factors P once,
 for the theta solve and the reweighting both, and starts the solve from
-the previous step's theta. ``_recursion`` is the one kernel that steps a
-recursion, propagating in the gain form (``predict_covariance``) and
-then reweighting; a step reads the pair (V, theta). ``filters.run_filter``
-(through ``_covariance_sequence``, which stops at the first exact repeat
-of (V, theta) and copies the cycle), ``iterate_to_fixed_point`` and the
-single-step recursions all consume it, so a fixed point or a single step
-is the same arithmetic as a filter run. The information-form maps
-``standard_riccati`` and ``risk_sensitive_map`` are the paper's
-formulas, kept for analysis and as references; no recursion steps
-through them.
+the previous step's theta. ``_recursion`` is the one kernel that steps
+recursions: it steps a bank of K configs of one model together, V as a
+(K, n, n) stack, with one batched gain-form step (``predict_covariance``)
+and one batched eigendecomposition per step; the theta solves and f(w)
+run row by row (``_reweight_bank``). A bank of one steps the bare n×n
+matrices through ``_reweight``. A step reads the pair (V, theta) of each
+row. ``filters.run_filter`` and ``filters.compare_filters`` (through
+``_covariance_sequence``, which retires each row at its first exact
+repeat of (V, theta) and copies its cycle), ``iterate_to_fixed_point``
+and the single-step recursions all consume it, so a fixed point, a
+single step, a filter run and a run in a bank are the same arithmetic.
+The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
+are the paper's formulas, kept for analysis and as references; no
+recursion steps through them.
 
 Convergence is measured in the Thompson metric, where the theory
 guarantees contraction; see the contraction module for certificates.
@@ -31,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from robkf import _linalg
-from robkf.divergence import _as_float, _positive_eigh, _reweighted, _theta_on, phi_gap
+from robkf.divergence import (
+    _as_float,
+    _positive_eigh,
+    _reweighted,
+    _reweighting_weights,
+    _theta_on,
+    phi_gap,
+)
 from robkf.errors import (
     ConfigError,
     DimensionMismatch,
@@ -116,6 +127,18 @@ class FilterConfig:
         return "rskf_tau" + f"{self.tau:g}".replace(".", "")
 
 
+def _row_weights(config: FilterConfig, w: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
+    """The weights w f(w) and the theta of one non-standard row, from the
+    ascending eigenvalues w of its prediction: theta solved against the
+    budget c from the start theta for the robust kind, the fixed theta
+    for the risk-sensitive kind."""
+    if config.kind == "robust":
+        theta = _theta_on(w, config.c, config.tau, theta)
+    else:
+        theta = config.theta
+    return _reweighting_weights(w, theta, config.tau), theta
+
+
 def _reweight(config: FilterConfig, P: np.ndarray,
               theta: float = 0.0) -> tuple[np.ndarray, float]:
     """Reweight the exactly symmetric prediction covariance P into the
@@ -130,71 +153,146 @@ def _reweight(config: FilterConfig, P: np.ndarray,
     if config.kind == "standard":
         return P, 0.0
     w, U = _positive_eigh(P)
-    if config.kind == "robust":
-        theta = _theta_on(w, config.c, config.tau, theta)
-    else:
-        theta = config.theta
-    return _reweighted(w, U, theta, config.tau), theta
+    wf, theta = _row_weights(config, w, theta)
+    return _reweighted(U, wf), theta
 
 
-def _recursion(model: StateSpaceModel, config: FilterConfig, V: np.ndarray,
-               theta: float = 0.0):
-    """Step the covariance recursion from the conditional covariance V_0 = V.
+def _reweight_bank(configs, P: np.ndarray, thetas):
+    """``_reweight`` row by row: row i of the (K, n, n) stack P by configs[i],
+    its robust solve starting from thetas[i]. Returns the stack V and the
+    list of the K thetas.
 
-    Yields (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) for k = 0, 1, ...: the
-    gain at V_k, the gain-form prediction from V_k, and its reweighting.
-    Step k reads (V_k, theta_k): the robust solve for theta_{k+1} starts
-    from theta_k, with theta_0 = theta (0 for a cold start).
+    One batched eigendecomposition of the non-standard rows serves their
+    solves and one batched product their reweightings; the solves and
+    f(w) run row by row.
+    """
+    rows = [i for i, config in enumerate(configs) if config.kind != "standard"]
+    out = [0.0] * len(configs)
+    if not rows:
+        return P, out
+    every = len(rows) == len(configs)
+    w, U = _positive_eigh(P if every else P[rows])
+    wf = np.empty_like(w)[:, None]
+    for j, i in enumerate(rows):
+        wf[j, 0], out[i] = _row_weights(configs[i], w[j], thetas[i])
+    if every:
+        return _reweighted(U, wf), out
+    V = P.copy()
+    V[rows] = _reweighted(U, wf)
+    return V, out
+
+
+def _recursion(model: StateSpaceModel, configs, V: np.ndarray, thetas):
+    """Step the covariance recursions of K configs of one model as one bank.
+
+    V holds the conditional covariances V_0 as a (K, n, n) stack and
+    thetas the K starting thetas as a list; a bank of one steps the bare
+    n×n matrix and float instead, which numpy handles faster than stacks
+    of one, to the same bits. Yields (G_k, P_{k+1}, V_{k+1},
+    theta_{k+1}) for k = 0, 1, ...: the gains at V_k, the gain-form
+    predictions from V_k, their reweightings and the thetas, shaped as
+    the inputs. Each step is one batched gain-form step and one
+    ``_reweight_bank`` (``_reweight`` for a bank of one); row i reads
+    only its (V_k, theta_k) and configs[i], and its robust solve for
+    theta_{k+1} starts from its theta_k, with theta_0 from thetas (0 for
+    a cold start). Sending a
+    list of row positions to the generator keeps only those rows, in
+    that order, from the next step on; the send itself returns None.
     """
     noise = model.noise_covariances()
     V = _linalg.sym(V)
     while True:
         G, P = _gain_and_prediction(model, V, noise)
-        V, theta = _reweight(config, P, theta)
-        yield G, P, V, theta
+        if P.ndim == 2:
+            V, thetas = _reweight(configs[0], P, thetas)
+        else:
+            V, thetas = _reweight_bank(configs, P, thetas)
+        keep = yield G, P, V, thetas
+        if keep is not None:
+            configs = [configs[i] for i in keep]
+            if len(keep) == 1:
+                V, thetas = V[keep[0]], thetas[keep[0]]
+            else:
+                V, thetas = V[keep], [thetas[i] for i in keep]
+            yield
 
 
-def _covariance_sequence(model: StateSpaceModel, config: FilterConfig, T: int):
-    """The covariance side of a T-step filter run started at V_0 = model.V0.
+def _covariance_sequence(model: StateSpaceModel, configs, T: int):
+    """The covariance sides of T-step filter runs of one model, one per
+    config, all started at V_0 = model.V0 and stepped as one bank.
 
-    Returns (gains, P_seq, V_seq, theta_seq, cycle) shaped as in
-    ``filters.FilterTrajectory``. Step k maps (V_k, theta_k) to (G_k,
-    P_{k+1}, V_{k+1}, theta_{k+1}) and reads nothing else, so once
-    (V_{j+p}, theta_{j+p}) equals an earlier (V_j, theta_j) byte for byte,
-    every row from step j on repeats with period p. The recursion runs
-    until that first exact repeat and copies the cycle forward; ``cycle``
-    is (j, p), or None if no state repeats within T steps. theta_0 is the
-    risk-sensitive kind's fixed theta and 0 otherwise, so the robust
-    kind's cold first step never counts as a repeat.
+    Returns (gains, P_seq, V_seq, theta_seq, cycles): the first four
+    hold the K runs side by side on their second axis, so that run i's
+    arrays, shaped as in ``filters.FilterTrajectory``, are
+    ``gains[:, i]`` and so on; cycles lists their ``cycle``. Step k of a
+    run maps (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) and
+    reads nothing else, so once (V_{j+p}, theta_{j+p}) equals an earlier
+    (V_j, theta_j) byte for byte, every row of the run from step j on
+    repeats with period p. A run leaves the bank at that first exact
+    repeat and its cycle is copied forward; its cycle is (j, p), or None
+    if no state repeats within T steps. theta_0 is the risk-sensitive
+    kind's fixed theta and 0 otherwise, so the robust kind's cold first
+    step never counts as a repeat. Every run computes the same steps,
+    bit for bit, as it would alone.
     """
-    n, p = model.n, model.p
-    gains = np.zeros((T, n, p))
-    P_seq = np.zeros((T, n, n))
-    V_seq = np.zeros((T + 1, n, n))
-    theta_seq = np.zeros(T)
+    K, n, p = len(configs), model.n, model.p
+    gains = np.zeros((T, K, n, p))
+    P_seq = np.zeros((T, K, n, n))
+    V_seq = np.zeros((T + 1, K, n, n))
+    theta_seq = np.zeros((T, K))
+    cycles = [None] * K
 
-    theta0 = 0.0 if config.theta is None else config.theta
+    thetas = [0.0 if config.theta is None else config.theta for config in configs]
     V_seq[0] = model.V0
-    seen = {(model.V0.tobytes(), theta0): 0}
-    steps = _recursion(model, config, model.V0, theta0)
-    for k, (G, P, V, theta) in zip(range(T), steps):
-        gains[k] = G
-        P_seq[k] = P
-        V_seq[k + 1] = V
-        theta_seq[k] = theta
-        j = seen.setdefault((V.tobytes(), theta), k + 1)
-        if j <= k:
+    seen = [{(model.V0.tobytes(), theta): 0} for theta in thetas]
+    size = model.V0.nbytes
+    arrays = (gains, P_seq, V_seq[1:], theta_seq)
+    # The live runs and their columns: one index (bare rows), all, or a list.
+    # Steps are written through views of the columns, or for a list into
+    # copies that go back whenever the live set changes or the run ends.
+    live, cols = list(range(K)), 0 if K == 1 else slice(None)
+    G_out, P_out, V_out, theta_out = (a[:, cols] for a in arrays)
+    if K == 1:
+        steps = _recursion(model, configs, model.V0, thetas[0])
+    else:
+        steps = _recursion(model, configs, np.broadcast_to(model.V0, (K, n, n)), thetas)
+    for k, (G, P, V, thetas) in zip(range(T), steps):
+        G_out[k] = G
+        P_out[k] = P
+        V_out[k] = V
+        theta_out[k] = thetas
+        data = V.tobytes()
+        if len(live) == 1:
+            firsts = [seen[live[0]].setdefault((data, thetas), k + 1)]
+        else:
+            firsts = [seen[i].setdefault((data[pos * size:(pos + 1) * size], theta), k + 1)
+                      for pos, (i, theta) in enumerate(zip(live, thetas))]
+        if min(firsts) > k and k + 1 < T:
+            continue
+        if isinstance(cols, list):
+            for a, block in zip(arrays, (G_out, P_out, V_out, theta_out)):
+                a[:, cols] = block
+        for i, j in zip(live, firsts):
+            if j > k:
+                continue
             period = k + 1 - j
             log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
-                      "(period %d); copying the last %d of %d steps", config.kind, k + 1, j,
-                      period, T - k - 1, T)
-            rows = j + np.arange(T - k - 1) % period
-            gains[k + 1:] = gains[rows]
-            P_seq[k + 1:] = P_seq[rows]
-            V_seq[k + 2:] = V_seq[rows + 1]
-            theta_seq[k + 1:] = theta_seq[rows]
-            return gains, P_seq, V_seq, theta_seq, (j, period)
-    return gains, P_seq, V_seq, theta_seq, None
+                      "(period %d); copying the last %d of %d steps", configs[i].kind,
+                      k + 1, j, period, T - k - 1, T)
+            replay = j + np.arange(T - k - 1) % period
+            gains[k + 1:, i] = gains[replay, i]
+            P_seq[k + 1:, i] = P_seq[replay, i]
+            V_seq[k + 2:, i] = V_seq[replay + 1, i]
+            theta_seq[k + 1:, i] = theta_seq[replay, i]
+            cycles[i] = (j, period)
+        keep = [pos for pos, j in enumerate(firsts) if j > k]
+        if not keep or k + 1 == T:
+            break
+        live = [live[pos] for pos in keep]
+        cols = live[0] if len(live) == 1 else live
+        G_out, P_out, V_out, theta_out = (a[:, cols] for a in arrays)
+        steps.send(keep)
+    return gains, P_seq, V_seq, theta_seq, cycles
 
 
 @dataclass(frozen=True)
@@ -260,7 +358,7 @@ def _gain_and_innovation(model: StateSpaceModel, V: np.ndarray, noise):
     _, BDt, DDt = noise
     AV = model.A @ V
     S = _linalg.sym(model.C @ V @ model.C.T + DDt)
-    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).T, "innovation covariance").T
+    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).mT, "innovation covariance").mT
     return G, S, AV
 
 
@@ -273,7 +371,7 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
     """Gain G at the exactly symmetric V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ,
     from one solve of S, given the model's ``noise_covariances()``."""
     G, S, AV = _gain_and_innovation(model, V, noise)
-    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.T + noise[0])
+    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.mT + noise[0])
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
@@ -328,7 +426,7 @@ def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> Riccat
     """Reweight P into V_in, then take one step of the recursion from V_in."""
     _require_uncorrelated(model)
     V_in, theta_in = _reweight(config, _linalg.sym(_square(model, P, "P")))
-    G, P_next, V, theta = next(_recursion(model, config, V_in, theta_in))
+    G, P_next, V, theta = next(_recursion(model, (config,), V_in, theta_in))
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
@@ -431,7 +529,7 @@ def iterate_to_fixed_point(
     P_prev: np.ndarray | None = None
     dist = float("inf")
     converged = False
-    steps = zip(range(1, max_iter + 1), _recursion(model, config, V0))
+    steps = zip(range(1, max_iter + 1), _recursion(model, (config,), V0, 0.0))
     for iterations, (_, P_star, V, th) in steps:
         if P_prev is not None:
             try:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import robkf
-from robkf import FilterConfig, load_model, run_filter, simulate
+from robkf import FilterConfig, cli, load_model, run_filter, simulate
 from robkf.cli import main
+from robkf.contraction import _certify_each
 
-from conftest import example_matrices
+from conftest import example_matrices, random_model
 
 
 @pytest.fixture
@@ -131,6 +133,15 @@ def test_metric_failures(tmp_path, capsys):
     missing = str(tmp_path / "gone.json")
     assert main(["metric", p, missing]) == 2
     assert f"matrix: {missing} not readable" in capsys.readouterr().err
+
+
+def test_metric_shape_mismatch_exits_2(tmp_path, capsys):
+    p = matrix_file(tmp_path, "p.json", np.eye(2))
+    q = matrix_file(tmp_path, "q.json", np.eye(3))
+    assert main(["metric", p, q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shape mismatch (2, 2) vs (3, 3)\n"
 
 
 def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
@@ -287,3 +298,124 @@ def test_log_level_env(model_file, capsys, monkeypatch):
     assert "rmse" in err
     for h in logging.getLogger().handlers[:]:
         logging.getLogger().removeHandler(h)
+
+
+def _reference_csv(header, runs, steps):
+    """The CSV as the CLI formatted it one float at a time through csv.writer."""
+    def fmt(x):
+        return repr(float(x))
+
+    def upper(M):
+        n = M.shape[0]
+        return [M[i, j] for i in range(n) for j in range(i, n)]
+
+    def row(k, ft):
+        return ([fmt(v) for v in ft.estimates[k]] + [fmt(v) for v in upper(ft.P_seq[k - 1])]
+                + [fmt(v) for v in upper(ft.V_seq[k])] + [fmt(ft.theta_seq[k - 1])])
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[str(k)] + [v for ft in runs for v in row(k, ft)]
+                      for k in range(1, steps + 1)])
+    return out.getvalue()
+
+
+def _write_model(tmp_path, model):
+    path = tmp_path / f"model_n{model.n}.json"
+    path.write_text(json.dumps({name: np.asarray(getattr(model, name)).tolist()
+                                for name in ("A", "B", "C", "D", "x0_mean", "V0")}))
+    return str(path)
+
+
+def _csv_models(tmp_path):
+    """Model files with n = 1, 2 (the example) and 3, and their models."""
+    A, B, C, D = example_matrices()
+    models = [random_model(np.random.default_rng(1), n=1),
+              robkf.StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=np.zeros(2), V0=np.eye(2)),
+              random_model(np.random.default_rng(1), n=3)]
+    return [(_write_model(tmp_path, model), model) for model in models]
+
+
+@pytest.mark.parametrize("steps", [0, 40])
+def test_run_csv_bytes_match_the_row_formatter(tmp_path, capsys, steps):
+    config = FilterConfig.robust(0.5, 0.01)
+    for path, model in _csv_models(tmp_path):
+        assert main(["run", "--model", path, "--kind", "robust", "--tau", "0.5", "--c", "0.01",
+                     "--steps", str(steps), "--seed", "3"]) == 0
+        ft = run_filter(model, config, simulate(model, steps, 3).observations)
+        header = ["k"] + cli._trajectory_columns("", model.n)
+        assert capsys.readouterr().out == _reference_csv(header, [ft], steps)
+
+
+@pytest.mark.parametrize("steps", [0, 40])
+def test_compare_csv_bytes_match_the_row_formatter(tmp_path, capsys, steps):
+    specs = ["standard", "robust:tau=0,c=0.01", "risk_sensitive:tau=1,theta=0.001", "standard"]
+    configs = [FilterConfig.standard(), FilterConfig.robust(0.0, 0.01),
+               FilterConfig.risk_sensitive(1.0, 0.001), FilterConfig.standard()]
+    for path, model in _csv_models(tmp_path):
+        argv = ["compare", "--model", path, "--steps", str(steps), "--seed", "4"]
+        assert main(argv + [arg for spec in specs for arg in ("--filter", spec)]) == 0
+        table = robkf.compare_filters(model, configs, steps, 4)
+        header = ["k"] + [name for label in table.labels
+                          for name in cli._trajectory_columns(f"{label}_", model.n)]
+        assert capsys.readouterr().out == _reference_csv(header, table.runs, steps)
+
+
+def test_default_compare_panel_uses_certify(model_file, capsys):
+    model = load_model(model_file)
+    taus = (0.0, 0.5, 1.0)
+    for q, N in ((40, None), (20, 8)):
+        certs = _certify_each(model, taus, q=q, N=N)
+        assert [c.as_dict() for c in certs] == [
+            robkf.certify(model, tau, q=q, N=N).as_dict() for tau in taus]
+    configs = [FilterConfig.standard()] + [
+        FilterConfig.robust(tau, robkf.certify(model, tau).c_max) for tau in taus]
+    table = robkf.compare_filters(model, configs, 30, 6)
+    header = ["k"] + [name for label in table.labels
+                      for name in cli._trajectory_columns(f"{label}_", 2)]
+    assert main(["compare", "--model", model_file, "--steps", "30", "--seed", "6"]) == 0
+    assert capsys.readouterr().out == _reference_csv(header, table.runs, 30)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(tau=1.5), dict(tau="x"), dict(tau=0.5, mode="bogus"),
+    dict(tau=0.5, mode="risk_sensitive"), dict(tau=0.5, q=0), dict(tau=0.5, q=2.5),
+    dict(tau=0.5, N=1), dict(tau=0.5, N="x"),
+])
+def test_certify_each_raises_as_certify(example_model, kw):
+    tau = kw.pop("tau")
+    with pytest.raises(robkf.RobkfError) as want:
+        robkf.certify(example_model, tau, **kw)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _certify_each(example_model, (1.0, tau), **kw)
+
+
+@pytest.mark.parametrize("extra", [["--q", "0"], ["--N", "1"]])
+def test_compare_default_panel_rejects_bad_q_and_N(model_file, capsys, extra):
+    assert main(["compare", "--model", model_file, "--steps", "5"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_csv_writes_extreme_values_in_round_trip_form(capsys):
+    values = np.array([-0.0, 5e-324, 1e300, -1e300, 0.1, -5e-324])
+    n, steps = 2, 3
+    ft = robkf.FilterTrajectory(
+        config=FilterConfig.standard(),
+        estimates=np.resize(values, (steps + 1, n)),
+        gains=np.zeros((steps, n, 1)),
+        P_seq=np.resize(values[::-1], (steps, n, n)),
+        V_seq=np.resize(np.roll(values, 2), (steps + 1, n, n)),
+        theta_seq=np.resize(values, steps),
+        cycle=None,
+    )
+    header = ["k"] + cli._trajectory_columns("a_", n) + cli._trajectory_columns("b_", n)
+    cli._emit_csv(header, [cli._trajectory_block(ft), cli._trajectory_block(ft)], None)
+    out = capsys.readouterr().out
+    assert out == _reference_csv(header, [ft, ft], steps)
+    assert "-0.0," in out and "5e-324" in out and "1e+300" in out
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == np.hstack(
+        [cli._trajectory_block(ft)] * 2).tobytes()

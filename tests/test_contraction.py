@@ -66,7 +66,7 @@ def test_thompson_metric_invariances():
 def test_thompson_metric_rejects_bad_input():
     with pytest.raises(NotSPD):
         thompson_metric(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotSPD):
+    with pytest.raises(DimensionMismatch):
         thompson_metric(np.eye(2), np.eye(3))
 
 

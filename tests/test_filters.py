@@ -421,6 +421,11 @@ def test_compare_deterministic(example_model):
         assert r1.V_seq.tobytes() == r2.V_seq.tobytes()
 
 
+def test_compare_zero_steps_scores_nan(example_model):
+    table = compare_filters(example_model, [FilterConfig.standard()], steps=0, seed=0)
+    assert np.isnan(table.rmse("kf"))
+
+
 def test_compare_label_dedup(example_model):
     table = compare_filters(
         example_model, [FilterConfig.standard(), FilterConfig.standard()],
@@ -475,3 +480,45 @@ def test_load_observations_rejects(tmp_path, text, hint):
 def test_load_observations_missing_file(tmp_path):
     with pytest.raises(ModelIOError, match="not readable"):
         load_observations(tmp_path / "nope.csv")
+
+
+def _panel(model):
+    """Standard, robust at tau 0, 0.5 and 1 (each at its certified c_max),
+    risk-sensitive at theta_max, and a duplicate of the tau 0.5 filter."""
+    robust = [FilterConfig.robust(tau, certify(model, tau).c_max) for tau in (0.0, 0.5, 1.0)]
+    theta = certify(model, 1.0, mode="risk_sensitive").theta_max
+    return [FilterConfig.standard(), *robust, FilterConfig.risk_sensitive(1.0, theta), robust[1]]
+
+
+def _assert_bank_matches_single_runs(model, configs, steps):
+    table = compare_filters(model, configs, steps, seed=8)
+    y = table.trajectory.observations
+    assert len(table.runs) == len(configs)
+    for config, run in zip(configs, table.runs):
+        alone = run_filter(model, config, y)
+        assert run.config == config
+        for name in ("estimates", "gains", "P_seq", "V_seq", "theta_seq"):
+            a, b = getattr(run, name), getattr(alone, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (config, steps, name)
+        assert run.cycle == alone.cycle, (config, steps)
+    return table
+
+
+@pytest.mark.parametrize("model", ["example", 1])
+def test_bank_equals_single_runs_bit_for_bit(example_model, model):
+    model = example_model if model == "example" else random_model(np.random.default_rng(model), n=3)
+    configs = _panel(model)
+    table = _assert_bank_matches_single_runs(model, configs, 1000)
+    # every run settles into a cycle within 1000 steps; T one step before the
+    # earliest repeat leaves every run in the bank to the end
+    earliest = min(sum(run.cycle) for run in table.runs)
+    for steps in (0, 1, earliest - 1):
+        table = _assert_bank_matches_single_runs(model, configs, steps)
+        assert all(run.cycle is None for run in table.runs)
+
+
+def test_bank_raises_for_an_out_of_domain_row(example_model):
+    configs = [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1),
+               FilterConfig.risk_sensitive(0.5, 0.5)]
+    with pytest.raises(DomainViolation):
+        compare_filters(example_model, configs, steps=50, seed=0)

@@ -23,7 +23,7 @@ from robkf import (
     validate,
 )
 
-from conftest import example_matrices
+from conftest import example_matrices, random_model
 
 
 def test_example_model_dimensions(example_model):
@@ -218,6 +218,36 @@ def test_simulate_noise_is_standard_normal():
     cov = np.cov(traj.observations.T)
     np.testing.assert_allclose(cov, np.eye(2), atol=0.02)
     assert np.max(np.abs(np.mean(traj.observations, axis=0))) < 0.02
+
+
+def _reference_simulation(model, steps, seed):
+    """One noise draw per step, as the CLI's reproducibility note describes."""
+    rng = np.random.default_rng(seed)
+    x = model.x0_mean + np.linalg.cholesky(model.V0) @ rng.standard_normal(model.n)
+    states, observations = np.empty((steps, model.n)), np.empty((steps, model.p))
+    for k in range(steps):
+        v = rng.standard_normal(model.m)
+        states[k] = x
+        observations[k] = model.C @ x + model.D @ v
+        x = model.A @ x + model.B @ v
+    return states, observations
+
+
+@pytest.mark.parametrize("model", ["example"] + [
+    (seed, n, p, correlated) for seed, (n, p, correlated) in enumerate(
+        [(1, 1, False), (2, 1, True), (3, 2, False), (3, 2, True), (4, 1, False), (6, 3, True)])
+])
+@pytest.mark.parametrize("steps", [0, 1, 300])
+def test_simulate_matches_per_step_draws_bit_for_bit(example_model, model, steps):
+    if model == "example":
+        model = example_model
+    else:
+        seed, n, p, correlated = model
+        model = random_model(np.random.default_rng(seed), n=n, p=p, correlated=correlated)
+    traj = simulate(model, steps, seed=21)
+    states, observations = _reference_simulation(model, steps, seed=21)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.observations.tobytes() == observations.tobytes()
 
 
 def test_simulate_zero_steps(example_model):
