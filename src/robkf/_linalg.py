@@ -36,7 +36,7 @@ _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or each matrix of a stack, suppressing
     floating-point asymmetry drift."""
-    return 0.5 * (M + M.mT)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -347,7 +347,7 @@ def _reweighted(U: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """U diag(wf) Uᵀ, symmetrized, for the eigenvectors U of P and the
     weights wf = w f(w) of ``_reweighting_weights``. For a (K, n, n)
     stack U, wf is (K, 1, n) and each matrix gets its own product."""
-    return _linalg.sym((U * wf) @ U.mT)
+    return _linalg.sym((U * wf) @ U.swapaxes(-1, -2))
 
 
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:

@@ -122,7 +122,7 @@ def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
     gains, P_seq, V_seq, theta_seq, cycles = _covariance_sequence(model, configs, T)
     F = model.A - gains @ model.C
     b = gains @ y[:, None, :, None]
-    if K == 1:  # a bank of one steps bare vectors
+    if K == 1:  # a bank of one steps bare vectors, faster to the same bits
         F, b, xhat = F[:, 0], b[:, 0, :, 0], model.x0_mean
     else:  # stacks of column vectors
         xhat = np.broadcast_to(model.x0_mean[:, None], (K, n, 1))

