@@ -30,6 +30,8 @@ __all__ = [
 
 # An eigenvalue below −PSD_RTOL·max(1, |λ_max|) makes a matrix indefinite.
 PSD_RTOL = 1e-10
+# Singular values at or below RANK_REL_TOL·σ_max do not count towards a rank.
+RANK_REL_TOL = 1e-10
 _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 
 
@@ -117,16 +119,15 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def truncated_sqrt(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def truncated_sqrt(M: np.ndarray) -> np.ndarray:
     """Tall factor S with S Sᵀ ≈ M for PSD M, rank-truncated.
 
-    Eigenvalues below ``rel_tol`` times the largest are dropped, so S has
+    Eigenvalues at or below 1e-12 times the largest are dropped, so S has
     exactly the numerical rank of M as its column count (possibly zero).
     """
     w, U = eigh_sym(M)
     w = np.clip(w, 0.0, None)
-    top = w[-1] if w.size else 0.0
-    keep = w > rel_tol * top if top > 0.0 else np.zeros_like(w, dtype=bool)
+    keep = w > 1e-12 * (w[-1] if w.size else 0.0)
     return U[:, keep] * np.sqrt(w[keep])
 
 
@@ -147,11 +148,9 @@ def thompson_distance(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.max(np.abs(np.log(lam))))
 
 
-def rank_from_singular_values(M: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """Numerical rank via SVD with a relative threshold."""
+def rank_from_singular_values(M: np.ndarray) -> int:
+    """Numerical rank: the count of singular values above RANK_REL_TOL·σ_max."""
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))

@@ -36,7 +36,7 @@ from robkf.model import load_model, simulate
 
 __all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main"]
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("robkf.cli")  # also when run as ``python -m robkf.cli``
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -251,9 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("ROBKF_LOG", "error").strip().lower(), logging.ERROR)
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    """Run one command and return its exit code. For the call only, the
+    ``robkf`` logger takes its level from ROBKF_LOG (error, info or debug)
+    and writes to stderr alone; no other logger changes."""
+    pkg = logging.getLogger("robkf")
+    saved = pkg.level, pkg.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    pkg.addHandler(handler)
+    pkg.setLevel(_LOG_LEVELS.get(os.environ.get("ROBKF_LOG", "error").strip().lower(), logging.ERROR))
+    pkg.propagate = False
+    try:
+        return _main(argv)
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(saved[0])
+        pkg.propagate = saved[1]
 
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

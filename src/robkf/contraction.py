@@ -88,27 +88,16 @@ def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
 class DownsampledSystem:
     """N-block lifted system whose one-step map equals N filter steps.
 
-    Carries the block reachability/observability structure (R_N, O_N,
-    O_N_R), the block noise and impulse-response matrices (D_N, H_N,
-    L_N), the derived J_N, Omega_N and T = L_N Z⁻¹ L_Nᵀ with
-    Z = I + H_Nᵀ(D_N D_Nᵀ)⁻¹H_N, and tilde_phi_N = 1/lam_max(T), above
-    which the lifted map's domain collapses. H_N and L_N have zero first
-    block columns, so Z = diag(I_m, ·) and R_N = [B, A L₁] with L₁ the
-    top block row of L_N. Under a reweighting bar_phi the map therefore
-    reads only T, J_N, Omega_N, A and B: with
-    Y = (I − T bar_phi)⁻¹ [J_N, T[:, :n]], alpha = A Y[:n, :n],
-    Omega = Omega_N − J_Nᵀ bar_phi Y[:, :n] and W = B Bᵀ + A Y[:n, n:] Aᵀ,
-    so W = R_N Z⁻¹ R_Nᵀ = B Bᵀ + A T[:n, :n] Aᵀ at bar_phi = 0.
+    Holds what the map and the threshold read (``build_downsampled``
+    forms them): the normalized model, N, J_N, Omega_N, T and
+    tilde_phi_N = 1/lam_max(T), where the lifted map's domain ends. Under
+    a reweighting bar_phi, with Y = (I − T bar_phi)⁻¹ [J_N, T[:, :n]],
+    the map has alpha = A Y[:n, :n], Omega = Omega_N − J_Nᵀ bar_phi Y[:, :n]
+    and W = B Bᵀ + A Y[:n, n:] Aᵀ, so W = B Bᵀ + A T[:n, :n] Aᵀ at bar_phi = 0.
     """
 
     model: NormalizedModel
     N: int
-    R_N: np.ndarray
-    O_N: np.ndarray
-    O_N_R: np.ndarray
-    D_N: np.ndarray
-    H_N: np.ndarray
-    L_N: np.ndarray
     J_N: np.ndarray
     Omega_N: np.ndarray
     T: np.ndarray
@@ -118,17 +107,21 @@ class DownsampledSystem:
 def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     """Assemble the N-block lifted system.
 
-    H_N and L_N are strictly upper block Toeplitz with blocks
-    C A^{k-1} B and A^{k-1} B on the k-th superdiagonal; O_N and O_N_R
-    stack their powers from the highest at the top down to C (resp. I)
-    at the bottom. All factorizations are dense; for the intended
-    N <= ~50 and small n, m, p the matrices stay a few hundred wide.
+    The build lays out R_N = [B, AB, ..., A^{N-1}B]; H_N and L_N, strictly
+    upper block Toeplitz with C A^{k-1} B and A^{k-1} B on the k-th
+    superdiagonal; O_N and O_N_R, stacking C A^{N-1} (resp. A^{N-1}) down
+    to C (resp. I); D_N = I_N ⊗ D and G_N = D_N D_Nᵀ + H_N H_Nᵀ. It keeps
+    Omega_N = O_Nᵀ G_N⁻¹ O_N, J_N = O_N_R − L_N H_Nᵀ G_N⁻¹ O_N and
+    T = L_N Z⁻¹ L_Nᵀ, Z = I + H_Nᵀ(D_N D_Nᵀ)⁻¹H_N. Since H_N and L_N have
+    zero first block columns, R_N = [B, A L₁] (L₁ the top block row of L_N)
+    and W(0) = R_N Z⁻¹ R_Nᵀ = B Bᵀ + A T[:n, :n] Aᵀ is PD exactly when R_N
+    has full row rank. Dense throughout, for N <= ~50 and small n, m, p.
 
     Raises
     ------
     NotObservable, NotReachable
         If Omega_N or the zero-reweighting W fail positive definiteness
-        although N >= n. For N < n a singular Omega_N is only logged.
+        although N >= n; for N < n ``find_phi_N`` rejects such a system.
     NotSPD
         If the impulse responses overflow when squared, checked before
         the N² blocks are laid out, or a block covariance fails to factor.
@@ -164,7 +157,7 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         H_N[i * p:(i + 1) * p, (i + 1) * m:] = CR_N[:, :(N - 1 - i) * m]
     DD_N = np.kron(np.eye(N), model.D @ model.D.T)
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
-    # factored before L_N and D_N exist, so a failing build holds less
+    # factored before L_N exists, so a failing build holds less
     G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
     L_N = np.zeros((N * n, N * m))
     for i in range(N - 1):
@@ -180,15 +173,10 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         if N >= n:
             raise NotObservable(f"Omega_N is not positive definite at N={N} >= n={n}")
         log.info("Omega_N singular at N=%d < n=%d", N, n)
-    W0 = _linalg.sym(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T)
-    if N >= n and not _linalg.is_spd(W0):
+    if N >= n and not _linalg.is_spd(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T):
         raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
-
-    D_N = np.kron(np.eye(N), model.D)
-    return DownsampledSystem(
-        model=model, N=N, R_N=R_N, O_N=O_N, O_N_R=O_N_R, D_N=D_N, H_N=H_N,
-        L_N=L_N, J_N=J_N, Omega_N=Omega_N, T=T, tilde_phi_N=tilde_phi_N,
-    )
+    return DownsampledSystem(model=model, N=N, J_N=J_N, Omega_N=Omega_N, T=T,
+                             tilde_phi_N=tilde_phi_N)
 
 
 def _map_blocks(ds: DownsampledSystem, bar_phi: np.ndarray):
@@ -218,7 +206,7 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
     """
     bar_phi = _linalg.sym(np.asarray(bar_phi, dtype=float))
     P = np.asarray(P, dtype=float)
-    Nn, n = ds.L_N.shape[0], ds.model.n
+    Nn, n = ds.T.shape[0], ds.model.n
     if bar_phi.shape != (Nn, Nn):
         raise DomainViolation(f"bar_phi must have shape ({Nn}, {Nn}), got {bar_phi.shape}")
     if P.shape != (n, n):
@@ -246,12 +234,16 @@ def find_phi_N(ds: DownsampledSystem) -> float:
 
     Closed form from one symmetric eigenproblem. By the Schur
     complement, Omega(phi) = Omega_N − J_Nᵀ(phi⁻¹I − T)⁻¹J_N is PD
-    exactly when phi < 1/lam_max(T + J_N Omega_N⁻¹ J_Nᵀ), and
-    W(phi) is PD for every phi < tilde_phi_N when R_N has full row
-    rank. The threshold is returned a relative 1e-9
-    inside that strict edge. Since T + J_N Omega_N⁻¹ J_Nᵀ ⪰ T, it also
-    lies at least that far below tilde_phi_N = 1/lam_max(T), where the
-    map's domain ends.
+    exactly when phi < 1/lam_max(T + J_N Omega_N⁻¹ J_Nᵀ), and W(phi) is
+    PD for every phi < tilde_phi_N when W(0) is, that is, when R_N has
+    full row rank (see ``build_downsampled``). The threshold is returned
+    a relative 1e-9 inside that strict edge. Since T + J_N Omega_N⁻¹ J_Nᵀ
+    ⪰ T, it also lies at least that far below tilde_phi_N = 1/lam_max(T),
+    where the map's domain ends.
+
+    At N >= n the build has required both to be PD. Below n the rank comes
+    from R_N's singular values: a Cholesky of the formed W(0) can pass on a
+    rank-deficient R_N through rounding.
 
     Raises
     ------
@@ -260,8 +252,7 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         positive phi is feasible (possible only for N < n).
     """
     n = ds.model.n
-    # for N >= n, build_downsampled has already required W(0) to be PD
-    if ds.N < n and _linalg.rank_from_singular_values(ds.R_N) < n:
+    if ds.N < n and _linalg.rank_from_singular_values(reachability_matrix(ds.model, ds.N)) < n:
         raise SearchFailed(f"R_N has rank below n={n} at N={ds.N}; W is singular for every phi")
     try:
         L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")

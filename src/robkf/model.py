@@ -48,8 +48,6 @@ log = logging.getLogger(__name__)
 
 # B Dᵀ entries at or below this are treated as structurally zero.
 CROSS_COV_TOL = 1e-12
-# Relative singular-value threshold for rank decisions.
-RANK_REL_TOL = 1e-10
 
 _FIELDS = ("A", "B", "C", "D", "x0_mean", "V0")
 
@@ -154,8 +152,6 @@ class NormalizedModel(StateSpaceModel):
     and observability of (A, C).
     """
 
-    normalized: bool = True
-
     def __post_init__(self):
         super().__post_init__()
         cross = np.max(np.abs(self.B @ self.D.T), initial=0.0)
@@ -252,9 +248,9 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
             V0=model.V0,
         )
     n = candidate.n
-    if _linalg.rank_from_singular_values(reachability_matrix(candidate, n), RANK_REL_TOL) < n:
+    if _linalg.rank_from_singular_values(reachability_matrix(candidate, n)) < n:
         raise NotReachable("(A, B) is not reachable after normalization")
-    if _linalg.rank_from_singular_values(observability_matrix(candidate, n), RANK_REL_TOL) < n:
+    if _linalg.rank_from_singular_values(observability_matrix(candidate, n)) < n:
         raise NotObservable("(A, C) is not observable")
     return candidate
 

@@ -170,13 +170,10 @@ def _reweight_bank(configs, P: np.ndarray, thetas):
     out = [0.0] * len(configs)
     if not rows:
         return P, out
-    every = len(rows) == len(configs)
-    w, U = _positive_eigh(P if every else P[rows])
+    w, U = _positive_eigh(P[rows])
     wf = np.empty_like(w)[:, None]
     for j, i in enumerate(rows):
         wf[j, 0], out[i] = _row_weights(configs[i], w[j], thetas[i])
-    if every:
-        return _reweighted(U, wf), out
     V = P.copy()
     V[rows] = _reweighted(U, wf)
     return V, out

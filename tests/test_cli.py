@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -288,16 +289,47 @@ def test_compare_bad_filter_spec(model_file, capsys):
 
 
 def test_log_level_env(model_file, capsys, monkeypatch):
-    import logging
+    # the root logger already has a handler, as under pytest or in an
+    # application, so a logging.basicConfig call would do nothing
     monkeypatch.setenv("ROBKF_LOG", "info")
-    for h in logging.getLogger().handlers[:]:
-        logging.getLogger().removeHandler(h)
-    assert main(["compare", "--model", model_file, "--filter", "standard",
-                 "--steps", "5"]) == 0
-    err = capsys.readouterr().err
-    assert "rmse" in err
-    for h in logging.getLogger().handlers[:]:
-        logging.getLogger().removeHandler(h)
+    root = logging.getLogger()
+    own = logging.StreamHandler(io.StringIO())
+    root.addHandler(own)
+    try:
+        assert main(["compare", "--model", model_file, "--filter", "standard",
+                     "--steps", "5"]) == 0
+    finally:
+        root.removeHandler(own)
+    assert "rmse" in capsys.readouterr().err
+    assert own.stream.getvalue() == ""
+
+
+def test_log_level_env_under_python_m(model_file):
+    env = {**os.environ, "ROBKF_LOG": "info", "PYTHONPATH": str(Path(robkf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "robkf.cli", "compare", "--model", model_file,
+                           "--filter", "standard", "--steps", "5"],
+                          capture_output=True, text=True, check=True, env=env)
+    assert "INFO robkf.cli: rmse kf = " in done.stderr
+
+
+def test_main_leaves_the_root_logger_alone(model_file, capsys, monkeypatch):
+    monkeypatch.setenv("ROBKF_LOG", "info")
+    root, pkg = logging.getLogger(), logging.getLogger("robkf")
+    saved = root.level, root.handlers[:]
+    for h in saved[1]:
+        root.removeHandler(h)
+    root.setLevel(logging.WARNING)
+    try:
+        assert main(["compare", "--model", model_file, "--filter", "standard",
+                     "--steps", "5"]) == 0
+        assert root.level == logging.WARNING and root.handlers == []
+        assert not logging.getLogger("unrelated").isEnabledFor(logging.INFO)
+        assert (pkg.level, pkg.handlers, pkg.propagate) == (logging.NOTSET, [], True)
+    finally:
+        root.setLevel(saved[0])
+        for h in saved[1]:
+            root.addHandler(h)
+    assert "rmse" in capsys.readouterr().err
 
 
 def _reference_csv(header, runs, steps):

@@ -1,5 +1,6 @@
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,47 +107,129 @@ def test_contraction_bound_dominates_empirical_ratios():
         assert num <= (bound + 1e-9) * den
 
 
+def _lifted_reference(model, N):
+    """The N-block lifted system of a normalized model, laid out from powers
+    of A without robkf.contraction (as bench/checks.py does).
+
+    R = [B, AB, ..., A^{N-1}B]; H and L strictly upper block Toeplitz with
+    C A^{k-1} B and A^{k-1} B on the k-th superdiagonal; O and OR stacking
+    C A^{N-1} (resp. A^{N-1}) at the top down to C (resp. I); DD = I_N ⊗ D Dᵀ,
+    G = DD + H Hᵀ and Z = I + Hᵀ DD⁻¹ H. Then Omega = Oᵀ G⁻¹ O,
+    J = OR − L Hᵀ G⁻¹ O and, by the matrix inversion lemma
+    Z⁻¹ = I − Hᵀ G⁻¹ H, T = L (I − Hᵀ G⁻¹ H) Lᵀ; tilde_phi = 1/lam_max(T)
+    and phi = (1 − 1e-9)/lam_max(T + J Omega⁻¹ Jᵀ), the library's margin.
+    """
+    A, B, C, D = model.A, model.B, model.C, model.D
+    n, m, p = model.n, model.m, model.p
+    powers = [np.eye(n)]
+    for _ in range(N):
+        powers.append(A @ powers[-1])
+    H = np.zeros((N * p, N * m))
+    L = np.zeros((N * n, N * m))
+    for i in range(N):
+        for j in range(i + 1, N):
+            H[i * p:(i + 1) * p, j * m:(j + 1) * m] = C @ powers[j - i - 1] @ B
+            L[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[j - i - 1] @ B
+    ref = SimpleNamespace(
+        R=np.hstack([powers[k] @ B for k in range(N)]),
+        O=np.vstack([C @ powers[N - 1 - i] for i in range(N)]),
+        OR=np.vstack([powers[N - 1 - i] for i in range(N)]),
+        H=H, L=L, D_N=np.kron(np.eye(N), D), DD=np.kron(np.eye(N), D @ D.T))
+    ref.G = ref.DD + H @ H.T
+    ref.Z = np.eye(N * m) + H.T @ np.linalg.solve(ref.DD, H)
+    GiO = np.linalg.solve(ref.G, ref.O)
+    ref.Omega = _sym(ref.O.T @ GiO)
+    ref.J = ref.OR - L @ H.T @ GiO
+    ref.T = _sym(L @ (np.eye(N * m) - H.T @ np.linalg.solve(ref.G, H)) @ L.T)
+    t_max = np.linalg.eigvalsh(ref.T)[-1]
+    ref.tilde_phi = 1.0 / t_max if t_max > 0.0 else float("inf")
+    if np.linalg.eigvalsh(ref.Omega)[0] > 0.0:
+        S = _sym(ref.T + ref.J @ np.linalg.solve(ref.Omega, ref.J.T))
+        ref.phi = (1.0 - 1e-9) / np.linalg.eigvalsh(S)[-1]
+    return ref
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 def test_build_downsampled_single_block(example_normalized, caplog):
+    # one block: H and L vanish, so T = 0, J_N = I and Omega_N = Cᵀ(D Dᵀ)⁻¹C
     m = example_normalized
     with caplog.at_level(logging.WARNING, logger="robkf.contraction"):
         ds = build_downsampled(m, 1)
     assert "below the state dimension" in caplog.text
     assert ds.N == 1
-    np.testing.assert_array_equal(ds.H_N, np.zeros((1, 3)))
-    np.testing.assert_array_equal(ds.O_N, m.C)
-    np.testing.assert_array_equal(ds.R_N, m.B)
+    ref = _lifted_reference(m, 1)
+    assert not ref.H.any() and not ref.L.any()
+    assert not ds.T.any() and ds.tilde_phi_N == float("inf")
+    np.testing.assert_array_equal(ds.J_N, np.eye(2))
     DDt_inv = np.linalg.inv(m.D @ m.D.T)
     np.testing.assert_allclose(ds.Omega_N, m.C.T @ DDt_inv @ m.C, atol=1e-12)
+    np.testing.assert_allclose(ds.Omega_N, ref.Omega, atol=1e-12)
 
 
 def test_build_downsampled_structure(example_normalized):
     m = example_normalized
     N = 4
     ds = build_downsampled(m, N)
+    ref = _lifted_reference(m, N)
     n, mm, p = m.n, m.m, m.p
-    # strictly upper block Toeplitz: block (i, j) = C A^{j-i-1} B
+    # the reference's layout: block (i, j) of H is C A^{j-i-1} B for j > i
     Apow = [np.eye(n)]
     for _ in range(N):
         Apow.append(m.A @ Apow[-1])
     for i in range(N):
         for j in range(N):
-            H_blk = ds.H_N[i * p:(i + 1) * p, j * mm:(j + 1) * mm]
-            L_blk = ds.L_N[i * n:(i + 1) * n, j * mm:(j + 1) * mm]
+            H_blk = ref.H[i * p:(i + 1) * p, j * mm:(j + 1) * mm]
+            L_blk = ref.L[i * n:(i + 1) * n, j * mm:(j + 1) * mm]
             if j > i:
                 np.testing.assert_allclose(H_blk, m.C @ Apow[j - i - 1] @ m.B, atol=1e-14)
                 np.testing.assert_allclose(L_blk, Apow[j - i - 1] @ m.B, atol=1e-14)
             else:
                 assert not H_blk.any() and not L_blk.any()
     # noise decoupling is structural, not approximate
-    assert not (ds.D_N @ ds.H_N.T).any()
-    assert not (ds.D_N @ ds.L_N.T).any()
-    # stacking order: highest power on top, plain C / I at the bottom
-    np.testing.assert_array_equal(ds.O_N[-p:], m.C)
-    np.testing.assert_array_equal(ds.O_N_R[-n:], np.eye(n))
-    np.testing.assert_allclose(ds.O_N[:p], m.C @ Apow[N - 1], atol=1e-14)
+    assert not (ref.D_N @ ref.H.T).any()
+    assert not (ref.D_N @ ref.L.T).any()
+    np.testing.assert_array_equal(ref.O[-p:], m.C)
+    np.testing.assert_array_equal(ref.OR[-n:], np.eye(n))
     # R_N = [B, A L₁] with L₁ the top block row of L_N, which the map's
-    # one-solve form rests on
-    np.testing.assert_allclose(ds.R_N[:, mm:], m.A @ ds.L_N[:n, mm:], rtol=1e-14, atol=0)
+    # one-solve form and the zero-reweighting W = B Bᵀ + A T[:n, :n] Aᵀ rest on
+    np.testing.assert_allclose(ref.R[:, mm:], m.A @ ref.L[:n, mm:], rtol=1e-14, atol=0)
+    # what the build keeps matches the reference
+    for got, want in ((ds.T, ref.T), (ds.J_N, ref.J), (ds.Omega_N, ref.Omega)):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_build_downsampled_matches_powers_reference():
+    # >= 20 seeded models, n 1-4, N 1-12, correlated noise and not
+    rng = np.random.default_rng(31)
+    phis = 0
+    for i in range(28):
+        n = 1 + i % 4
+        model = normalize(random_model(rng, n=n, p=1 + i % 2, correlated=bool(i // 4 % 2)))
+        N = int(rng.integers(1, 13))
+        ds = build_downsampled(model, N)
+        ref = _lifted_reference(model, N)
+        assert _rel(ds.T, ref.T) <= 1e-10 if ref.T.any() else not ds.T.any()
+        assert _rel(ds.J_N, ref.J) <= 1e-10
+        assert _rel(ds.Omega_N, ref.Omega) <= 1e-10
+        if np.isfinite(ref.tilde_phi):
+            assert ds.tilde_phi_N == pytest.approx(ref.tilde_phi, rel=1e-10)
+        else:
+            assert ds.tilde_phi_N == float("inf")
+        if N * model.p >= n:
+            assert find_phi_N(ds) == pytest.approx(ref.phi, rel=1e-10)
+            phis += 1
+        else:
+            # fewer outputs than states: Omega_N is singular
+            with pytest.raises(SearchFailed):
+                find_phi_N(ds)
+    assert phis >= 20
 
 
 def test_build_downsampled_rejects_bad_n(example_normalized):
@@ -200,7 +283,7 @@ def test_reweighting_monotone(example_normalized):
     # Omega shrinks and W grows as the reweighting increases
     ds = build_downsampled(example_normalized, 5)
     phis = [0.0, 0.2 * ds.tilde_phi_N, 0.5 * ds.tilde_phi_N, 0.8 * ds.tilde_phi_N]
-    Nn = ds.L_N.shape[0]
+    Nn = ds.T.shape[0]
     blocks = [_map_blocks(ds, phi * np.eye(Nn)) for phi in phis]
     for (_, O1, W1), (_, O2, W2) in zip(blocks, blocks[1:]):
         assert np.min(np.linalg.eigvalsh(O1 - O2)) >= -1e-10
@@ -208,11 +291,12 @@ def test_reweighting_monotone(example_normalized):
 
 
 def test_zero_reweighting_closed_form(example_normalized):
+    # W at bar_phi = 0 is R_N Z⁻¹ R_Nᵀ
     ds = build_downsampled(example_normalized, 4)
-    Nn = ds.L_N.shape[0]
+    ref = _lifted_reference(example_normalized, 4)
+    Nn = ds.T.shape[0]
     _, _, W0 = _map_blocks(ds, np.zeros((Nn, Nn)))
-    Z = np.eye(ds.H_N.shape[1]) + ds.H_N.T @ np.linalg.solve(ds.D_N @ ds.D_N.T, ds.H_N)
-    np.testing.assert_allclose(W0, ds.R_N @ np.linalg.solve(Z, ds.R_N.T), atol=1e-10)
+    np.testing.assert_allclose(W0, ref.R @ np.linalg.solve(ref.Z, ref.R.T), atol=1e-10)
 
 
 def test_downsampled_map_zero_phi_is_riccati_composition(make_model):
@@ -254,28 +338,25 @@ def test_downsampled_map_constant_phi_is_rs_composition(make_model):
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-8
 
 
-def _bordered_blocks(ds, bar_phi):
-    """alpha, Omega, W of the lifted map as downsampled_map once formed them:
-    alpha from the (Np + Nn)-wide bordered system in G_N = D_N D_Nᵀ + H_N H_Nᵀ,
+def _bordered_blocks(model, ref, bar_phi):
+    """alpha, Omega, W of the lifted map as downsampled_map once formed them,
+    on the reference blocks: alpha from the (Np + Nn)-wide bordered system
+    in G_N = D_N D_Nᵀ + H_N H_Nᵀ, Omega through (I − bar_phi T)⁻¹ bar_phi,
     W from Q = Z − L_Nᵀ bar_phi L_N."""
-    n, Nn = ds.model.n, ds.L_N.shape[0]
-    DD_N = ds.D_N @ ds.D_N.T
-    G_N = DD_N + ds.H_N @ ds.H_N.T
-    Z = np.eye(ds.H_N.shape[1]) + ds.H_N.T @ np.linalg.solve(DD_N, ds.H_N)
-    top = np.hstack([G_N, -(ds.H_N @ ds.L_N.T) @ bar_phi])
-    bot = np.hstack([ds.L_N @ ds.H_N.T, np.eye(Nn) - (ds.L_N @ ds.L_N.T) @ bar_phi])
-    Y = np.linalg.solve(np.vstack([top, bot]), np.vstack([ds.O_N, ds.O_N_R]))
-    Np = G_N.shape[0]
-    A_N = ds.model.A @ ds.O_N_R[:n]
-    alpha = A_N - ds.R_N @ (ds.H_N.T @ Y[:Np] - ds.L_N.T @ (bar_phi @ Y[Np:]))
-    M = np.linalg.solve(np.eye(Nn) - bar_phi @ ds.T, bar_phi)
-    Omega = ds.Omega_N - ds.J_N.T @ M @ ds.J_N
-    W = ds.R_N @ np.linalg.solve(Z - ds.L_N.T @ bar_phi @ ds.L_N, ds.R_N.T)
+    n, Nn, Np = model.n, ref.L.shape[0], ref.G.shape[0]
+    top = np.hstack([ref.G, -(ref.H @ ref.L.T) @ bar_phi])
+    bot = np.hstack([ref.L @ ref.H.T, np.eye(Nn) - (ref.L @ ref.L.T) @ bar_phi])
+    Y = np.linalg.solve(np.vstack([top, bot]), np.vstack([ref.O, ref.OR]))
+    A_N = model.A @ ref.OR[:n]
+    alpha = A_N - ref.R @ (ref.H.T @ Y[:Np] - ref.L.T @ (bar_phi @ Y[Np:]))
+    M = np.linalg.solve(np.eye(Nn) - bar_phi @ ref.T, bar_phi)
+    Omega = ref.Omega - ref.J.T @ M @ ref.J
+    W = ref.R @ np.linalg.solve(ref.Z - ref.L.T @ bar_phi @ ref.L, ref.R.T)
     return alpha, Omega, W
 
 
-def _bordered_map(ds, bar_phi, P):
-    alpha, Omega, W = _bordered_blocks(ds, bar_phi)
+def _bordered_map(model, ref, bar_phi, P):
+    alpha, Omega, W = _bordered_blocks(model, ref, bar_phi)
     return alpha @ np.linalg.inv(np.linalg.inv(P) + Omega) @ alpha.T + W
 
 
@@ -297,12 +378,13 @@ def test_downsampled_map_matches_bordered_reference():
         model = normalize(random_model(rng, n=n, correlated=bool(i // 4 % 2)))
         N = int(rng.integers(n, 12))
         ds = build_downsampled(model, N)
+        ref = _lifted_reference(model, N)
         phi_N = find_phi_N(ds)
         P = random_spd(rng, n)
         for scale in (0.0, 0.3, 0.9):
             bar_phi = _random_block_phi(rng, n, N, scale * phi_N)
             got = [*_map_blocks(ds, bar_phi), downsampled_map(ds, bar_phi, P)]
-            want = [*_bordered_blocks(ds, bar_phi), _bordered_map(ds, bar_phi, P)]
+            want = [*_bordered_blocks(model, ref, bar_phi), _bordered_map(model, ref, bar_phi, P)]
             err = [np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in zip(got, want)]
             worst = np.maximum(worst, err)
     alpha_err, omega_err, w_err, map_err = worst
@@ -410,6 +492,39 @@ def test_find_phi_rank_deficient_reachability_fails(caplog):
     assert np.min(np.linalg.eigvalsh(ds.Omega_N)) > 0
     with pytest.raises(SearchFailed):
         find_phi_N(ds)
+
+
+def _one_noise_column_model(A, b):
+    n = len(b)
+    return normalize(StateSpaceModel(
+        A=A, B=np.hstack([np.reshape(b, (n, 1)), np.zeros((n, n))]), C=np.eye(n),
+        D=np.hstack([np.zeros((n, 1)), 2.0 * np.eye(n)]), x0_mean=np.zeros(n), V0=np.eye(n)))
+
+
+def test_one_noise_column_certifies_from_n_blocks(caplog):
+    # one noise column at n = 3 and C = I: Omega_N is PD from N = 1 on, but
+    # R_N = [b, Ab, ...] has rank N < 3, so W is singular for every phi
+    # until N = 3. On the random draws the formed W(0) = B Bᵀ + A T[:n, :n] Aᵀ
+    # passes a Cholesky test at N = 2 for 5 of the 12 (x86-64, OpenBLAS),
+    # so find_phi_N must take the rank from R_N's singular values
+    jordan = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    models = [_one_noise_column_model(jordan, [0.0, 0.0, 1.0])]
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        A = rng.normal(size=(3, 3))
+        A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
+        models.append(_one_noise_column_model(A, rng.normal(size=3)))
+    with caplog.at_level(logging.ERROR, logger="robkf.contraction"):
+        for model in models:
+            for N in (1, 2):
+                ds = build_downsampled(model, N)
+                assert np.min(np.linalg.eigvalsh(ds.Omega_N)) > 0
+                with pytest.raises(SearchFailed, match="rank below"):
+                    find_phi_N(ds)
+            assert find_phi_N(build_downsampled(model, 3)) > 0
+    for tau in (0.0, 0.5, 1.0):
+        cert = certify(models[0], tau, N=3)
+        assert cert.N == 3 and 0 < cert.phi_N < cert.tilde_phi_N and cert.c_max > 0
 
 
 def test_certify_goldens(example_model):

@@ -504,10 +504,7 @@ def _assert_bank_matches_single_runs(model, configs, steps):
     return table
 
 
-@pytest.mark.parametrize("model", ["example", 1])
-def test_bank_equals_single_runs_bit_for_bit(example_model, model):
-    model = example_model if model == "example" else random_model(np.random.default_rng(model), n=3)
-    configs = _panel(model)
+def _assert_bank_matches_at_every_length(model, configs):
     table = _assert_bank_matches_single_runs(model, configs, 1000)
     # every run settles into a cycle within 1000 steps; T one step before the
     # earliest repeat leaves every run in the bank to the end
@@ -515,6 +512,24 @@ def test_bank_equals_single_runs_bit_for_bit(example_model, model):
     for steps in (0, 1, earliest - 1):
         table = _assert_bank_matches_single_runs(model, configs, steps)
         assert all(run.cycle is None for run in table.runs)
+
+
+def _bank_model(example_model, model):
+    return example_model if model == "example" else random_model(np.random.default_rng(model), n=3)
+
+
+@pytest.mark.parametrize("model", ["example", 1])
+def test_bank_equals_single_runs_bit_for_bit(example_model, model):
+    model = _bank_model(example_model, model)
+    _assert_bank_matches_at_every_length(model, _panel(model))
+
+
+@pytest.mark.parametrize("model", ["example", 1])
+def test_all_reweighted_bank_equals_single_runs_bit_for_bit(example_model, model):
+    # no standard row: every row of the stack goes through the batched
+    # eigendecomposition
+    model = _bank_model(example_model, model)
+    _assert_bank_matches_at_every_length(model, _panel(model)[1:])
 
 
 def test_bank_raises_for_an_out_of_domain_row(example_model):

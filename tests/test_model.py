@@ -8,6 +8,7 @@ from robkf import (
     DimensionMismatch,
     ModelError,
     ModelIOError,
+    NormalizedModel,
     NotObservable,
     NotReachable,
     SingularDD,
@@ -77,7 +78,7 @@ def test_fields_are_read_only(example_model):
 
 def test_normalize_passthrough(example_model):
     nm = normalize(example_model)
-    assert nm.normalized
+    assert isinstance(nm, NormalizedModel)
     np.testing.assert_array_equal(nm.A, example_model.A)
     np.testing.assert_array_equal(nm.B, example_model.B)
     assert np.max(np.abs(nm.B @ nm.D.T)) == 0.0
