@@ -8,7 +8,9 @@ for plotting:
     robkf compare --model m.json                  several filters, aligned CSV
     robkf metric  P.json Q.json                   Thompson distance d_T(P, Q)
 
-Every command is deterministic given its arguments: simulation draws
+Every command is deterministic given its arguments and the BLAS thread
+count (the thread count moves the last digits of certificates, and so
+of the default compare panel's radii and CSV): simulation draws
 come from numpy.random.default_rng(seed) (PCG64) via standard_normal,
 for the initial state x0 = x0_mean + chol(V0) z and the per-step noise
 v_k alike. Numbers are written in shortest round-trip decimal form, so

@@ -11,8 +11,8 @@ provably converges to a unique fixed point.
 """
 from __future__ import annotations
 
-import itertools
 import logging
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -30,9 +30,9 @@ from robkf.errors import (
     RiskSensitiveModeUnsupported,
     SearchFailed,
 )
-from robkf.model import NormalizedModel, StateSpaceModel, normalize
+from robkf.model import NormalizedModel, StateSpaceModel, _integer, normalize
 from robkf.model import observability_matrix, powers_matrix, reachability_matrix
-from robkf.riccati import FilterConfig, _recursion
+from robkf.riccati import _gain_and_prediction
 
 __all__ = [
     "DownsampledSystem",
@@ -128,9 +128,7 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     """
     if not isinstance(model, NormalizedModel):
         model = normalize(model)
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ConfigError(f"N must be a positive integer, got {N!r}")
-    N = int(N)
+    N = _integer(N, 1, "N must be a positive integer, got {value!r}")
     if N < model.n:
         log.warning("N=%d below the state dimension %d; Omega_N may be singular", N, model.n)
     try:
@@ -309,6 +307,10 @@ def certify(
     the N-block lifted system in closed form (``find_phi_N``), converts
     it through sigma_n = lambda_min(P_bar_q) into the risk bound
     theta_bar, and evaluates the budget c_max = gamma(P_bar_q, theta_bar, tau).
+    Where theta_bar (1 − tau) sigma_1(P_bar_q) >= 1, c_max is inf: a
+    robust filter's P_k dominates P_bar_q, so every theta it can solve
+    lies below 1/((1 − tau) sigma_1(P_bar_q)) <= theta_bar, and every
+    budget c > 0 is certified.
 
     Parameters
     ----------
@@ -355,21 +357,22 @@ def _certify_each(
             raise RiskSensitiveModeUnsupported(
                 f"risk-sensitive certification covers tau = 1 only, got tau = {tau}"
             )
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ConfigError(f"q must be a positive integer, got {q!r}")
+    q = _integer(q, 1, "q must be a positive integer, got {value!r}")
     nm = model if isinstance(model, NormalizedModel) else normalize(model)
     if N is None:
         N = max(nm.n, 50)
-    if not isinstance(N, (int, np.integer)) or N < nm.n:
-        raise ConfigError(f"N must be an integer >= n = {nm.n}, got {N!r}")
+    N = _integer(N, nm.n, f"N must be an integer >= n = {nm.n}, got {{value!r}}")
 
-    burn_in = _recursion(nm, (FilterConfig.standard(),), nm.B @ nm.B.T, 0.0)
-    P_bar = next(itertools.islice(burn_in, q - 1, None))[1]
-    sigma_n = float(_linalg.eigvalsh_sym(P_bar)[0])
+    noise = nm.noise_covariances()
+    P_bar = _linalg.sym(nm.B @ nm.B.T)
+    for _ in range(q):
+        P_bar = _gain_and_prediction(nm, P_bar, noise)[1]
+    spectrum = _linalg.eigvalsh_sym(P_bar)
+    sigma_n = float(spectrum[0])
     if sigma_n <= 0.0:
         raise NotSPD(f"P_bar_q is singular after q={q} steps; increase q")
 
-    ds = build_downsampled(nm, int(N))
+    ds = build_downsampled(nm, N)
     phi_N = find_phi_N(ds)
     x = sigma_n * phi_N
     if x >= 1.0:
@@ -382,17 +385,23 @@ def _certify_each(
             theta_bar = -np.expm1((1.0 - tau) * np.log1p(-x)) / ((1.0 - tau) * sigma_n)
         else:
             theta_bar = -np.log1p(-x) / sigma_n
+        if mode == "risk_sensitive":
+            c_max = None
+        elif theta_bar * (1.0 - tau) * spectrum[-1] >= 1.0:
+            c_max = math.inf  # theta_bar is past gamma's domain (see certify)
+        else:
+            c_max = float(gamma(P_bar, theta_bar, tau))
         cert = ConvergenceCertificate(
             tau=tau,
-            q=int(q),
-            N=int(N),
+            q=q,
+            N=N,
             mode=mode,
             P_bar_q=P_bar,
             sigma_n=sigma_n,
             tilde_phi_N=float(ds.tilde_phi_N),
             phi_N=float(phi_N),
             theta_bar=float(theta_bar),
-            c_max=float(gamma(P_bar, theta_bar, tau)) if mode == "robust" else None,
+            c_max=c_max,
             theta_max=float(theta_bar) if mode == "risk_sensitive" else None,
         )
         log.info(

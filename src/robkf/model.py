@@ -52,6 +52,14 @@ CROSS_COV_TOL = 1e-12
 _FIELDS = ("A", "B", "C", "D", "x0_mean", "V0")
 
 
+def _integer(value, low: int, error: str) -> int:
+    """int(value) if value is an integer >= low, bool excluded; otherwise
+    ConfigError with ``error.format(value=value)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(error.format(value=value))
+    return int(value)
+
+
 def _ingest(name: str, value, ndim: int) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
@@ -182,8 +190,7 @@ def validate(A, B, C, D, x0_mean, V0) -> StateSpaceModel:
 
 def _block_sequence(X: np.ndarray, step, N: int) -> list:
     """[X, step(X), ..., step^{N-1}(X)]."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ConfigError(f"block count N must be a positive integer, got {N!r}")
+    N = _integer(N, 1, "block count N must be a positive integer, got {value!r}")
     blocks = [X]
     for _ in range(N - 1):
         blocks.append(step(blocks[-1]))
@@ -263,9 +270,8 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     result is a deterministic function of (model, steps, seed). A steps
     or seed that is not a nonnegative integer raises ConfigError.
     """
-    for name, value in (("steps", steps), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    steps = _integer(steps, 0, "steps must be a nonnegative integer, got {value!r}")
+    seed = _integer(seed, 0, "seed must be a nonnegative integer, got {value!r}")
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
     x = model.x0_mean + L0 @ rng.standard_normal(model.n)
@@ -276,7 +282,7 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
         states[k] = x
         x = model.A @ x + Bv[k]
     observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
-    return Trajectory(states=states, observations=observations, seed=int(seed))
+    return Trajectory(states=states, observations=observations, seed=seed)
 
 
 def _reject_token(token: str):

@@ -8,17 +8,17 @@ standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
 filter applies a fixed theta. The robust reweighting factors P once,
 for the theta solve and the reweighting both, and starts the solve from
-the previous step's theta. ``_recursion`` is the one kernel that steps
+the previous step's theta. ``_bank_step`` is the one step of the
 recursions: it steps a bank of K configs of one model together, V as a
 (K, n, n) stack, with one batched gain-form step (``predict_covariance``)
-and one batched eigendecomposition per step; the theta solves and f(w)
-run row by row (``_reweight_bank``). A bank of one steps the bare n×n
-matrices through ``_reweight``. A step reads the pair (V, theta) of each
-row. ``filters.run_filter`` and ``filters.compare_filters`` (through
-``_covariance_sequence``, which retires each row at its first exact
-repeat of (V, theta) and copies its cycle), ``iterate_to_fixed_point``
-and the single-step recursions all consume it, so a fixed point, a
-single step, a filter run and a run in a bank are the same arithmetic.
+and one batched eigendecomposition; the theta solves and f(w) run row by
+row. A bank of one steps the bare n×n matrices through ``_reweight``.
+Each caller loops over it: ``filters.run_filter`` and
+``filters.compare_filters`` (through ``_covariance_sequence``, which
+retires each row at its first exact repeat of (V, theta) and copies its
+cycle), ``iterate_to_fixed_point`` and the single-step recursions, so a
+fixed point, a single step, a filter run and a run in a bank are the
+same arithmetic.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them.
@@ -51,7 +51,7 @@ from robkf.errors import (
     ModelError,
     NotSPD,
 )
-from robkf.model import CROSS_COV_TOL, StateSpaceModel
+from robkf.model import CROSS_COV_TOL, StateSpaceModel, _integer
 
 __all__ = [
     "FilterConfig",
@@ -157,61 +157,38 @@ def _reweight(config: FilterConfig, P: np.ndarray,
     return _reweighted(U, wf), theta
 
 
-def _reweight_bank(configs, P: np.ndarray, thetas):
-    """``_reweight`` row by row: row i of the (K, n, n) stack P by configs[i],
-    its robust solve starting from thetas[i]. Returns the stack V and the
-    list of the K thetas.
+def _bank_step(model: StateSpaceModel, configs, noise, V: np.ndarray, thetas):
+    """One step of the covariance recursions of K configs of one model, as one bank.
 
-    One batched eigendecomposition of the non-standard rows serves their
-    solves and one batched product their reweightings; the solves and
-    f(w) run row by row.
+    Maps the exactly symmetric conditional covariances V_k, a (K, n, n)
+    stack, and the list of their K thetas to (G_k, P_{k+1}, V_{k+1},
+    theta_{k+1}), shaped as the inputs, given the model's
+    ``noise_covariances()``. Row i reads only its (V_k, theta_k) and
+    configs[i]; its robust solve starts from theta_k (0 for a cold
+    start). One batched gain-form step, one batched eigendecomposition
+    of the non-standard rows and one batched product serve all rows;
+    the theta solves and f(w) run row by row.
+
+    A bank of one steps the bare n×n V and a float theta through
+    ``_reweight`` to the same bits: as stacks of one, numpy's per-call
+    overhead made the benchmark's filter_stream pass 14% slower (median
+    of 10 runs; 2 shared CPUs, one BLAS thread).
     """
+    G, P = _gain_and_prediction(model, V, noise)
+    if P.ndim == 2:
+        V, theta = _reweight(configs[0], P, thetas)
+        return G, P, V, theta
     rows = [i for i, config in enumerate(configs) if config.kind != "standard"]
     out = [0.0] * len(configs)
     if not rows:
-        return P, out
+        return G, P, P, out
     w, U = _positive_eigh(P[rows])
     wf = np.empty_like(w)[:, None]
     for j, i in enumerate(rows):
         wf[j, 0], out[i] = _row_weights(configs[i], w[j], thetas[i])
     V = P.copy()
     V[rows] = _reweighted(U, wf)
-    return V, out
-
-
-def _recursion(model: StateSpaceModel, configs, V: np.ndarray, thetas):
-    """Step the covariance recursions of K configs of one model as one bank.
-
-    V holds the conditional covariances V_0 as a (K, n, n) stack and
-    thetas the K starting thetas as a list. Yields (G_k, P_{k+1},
-    V_{k+1}, theta_{k+1}) for k = 0, 1, ...: the gains at V_k, the
-    gain-form predictions from V_k, their reweightings and the thetas,
-    shaped as the inputs. Each step is one batched gain-form step and
-    one ``_reweight_bank``; row i reads only its (V_k, theta_k) and
-    configs[i], and its robust solve for theta_{k+1} starts from its
-    theta_k, with theta_0 from thetas (0 for a cold start). Sending a
-    list of row positions to the generator keeps only those rows, in
-    that order, from the next step on; the send itself returns None.
-
-    The bank of one is stepped on the bare n×n V and a float theta
-    instead, through ``_reweight``, to the same bits: numpy's per-call
-    overhead on stacks made the benchmark's filter_stream pass 14%
-    slower as stacks of one (median of 10 runs; 2 shared CPUs, one
-    BLAS thread). A bare bank takes no sends.
-    """
-    noise = model.noise_covariances()
-    V = _linalg.sym(V)
-    while True:
-        G, P = _gain_and_prediction(model, V, noise)
-        if P.ndim == 2:
-            V, thetas = _reweight(configs[0], P, thetas)
-        else:
-            V, thetas = _reweight_bank(configs, P, thetas)
-        keep = yield G, P, V, thetas
-        if keep is not None:
-            configs = [configs[i] for i in keep]
-            V, thetas = V[keep], [thetas[i] for i in keep]
-            yield
+    return G, P, V, out
 
 
 def _covariance_sequence(model: StateSpaceModel, configs, T: int):
@@ -243,13 +220,15 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     V_seq[0] = model.V0
     seen = [{(model.V0.tobytes(), theta): 0} for theta in thetas]
     size = model.V0.nbytes
-    # The runs still in the bank and their columns: all of them, then a list.
-    live, cols = list(range(K)), slice(None)
+    noise = model.noise_covariances()
+    # The runs still in the bank, their configs and their columns: all of them, then lists.
+    live, bank, cols = list(range(K)), configs, slice(None)
     if K == 1:
-        steps = _recursion(model, configs, model.V0, thetas[0])
+        V, thetas = _linalg.sym(model.V0), thetas[0]
     else:
-        steps = _recursion(model, configs, np.broadcast_to(model.V0, (K, n, n)), thetas)
-    for k, (G, P, V, thetas) in zip(range(T), steps):
+        V = _linalg.sym(np.broadcast_to(model.V0, (K, n, n)))
+    for k in range(T):
+        G, P, V, thetas = _bank_step(model, bank, noise, V, thetas)
         gains[k, cols] = G
         P_seq[k, cols] = P
         V_seq[k + 1, cols] = V
@@ -279,7 +258,8 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
         if not keep:
             break
         live = cols = [live[pos] for pos in keep]
-        steps.send(keep)
+        bank = [bank[pos] for pos in keep]
+        V, thetas = V[keep], [thetas[pos] for pos in keep]
     return gains, P_seq, V_seq, theta_seq, cycles
 
 
@@ -415,7 +395,7 @@ def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> Riccat
     """Reweight P into V_in, then take one step of the recursion from V_in."""
     _require_uncorrelated(model)
     V_in, theta_in = _reweight(config, _linalg.sym(_square(model, P, "P")))
-    G, P_next, V, theta = next(_recursion(model, (config,), V_in, theta_in))
+    G, P_next, V, theta = _bank_step(model, (config,), model.noise_covariances(), V_in, theta_in)
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
@@ -509,17 +489,17 @@ def iterate_to_fixed_point(
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not _as_float(tol) > 0.0:
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = _integer(max_iter, 1, "max_iter must be a positive integer, got {value!r}")
     _require_uncorrelated(model)
-    V0 = _linalg.sym(_square(model, start, "start"))
-    _linalg.psd_spectrum(V0, "start")
+    V, th = _linalg.sym(_square(model, start, "start")), 0.0
+    _linalg.psd_spectrum(V, "start")
 
+    noise = model.noise_covariances()
     P_prev: np.ndarray | None = None
     dist = float("inf")
     converged = False
-    steps = zip(range(1, max_iter + 1), _recursion(model, (config,), V0, 0.0))
-    for iterations, (_, P_star, V, th) in steps:
+    for iterations in range(1, max_iter + 1):
+        _, P_star, V, th = _bank_step(model, (config,), noise, V, th)
         if P_prev is not None:
             try:
                 dist = _linalg.thompson_distance(P_prev, P_star)

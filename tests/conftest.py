@@ -25,6 +25,15 @@ def example_normalized(example_model):
     return normalize(example_model)
 
 
+def precise_sensor_jordan_model():
+    """A the 3×3 Jordan block at 0.5, B = [e₃, 0], C = I, D = [0, 0.5 I]."""
+    B = np.zeros((3, 4))
+    B[2, 0] = 1.0
+    return StateSpaceModel(A=0.5 * np.eye(3) + np.eye(3, k=1), B=B, C=np.eye(3),
+                           D=np.hstack([np.zeros((3, 1)), 0.5 * np.eye(3)]),
+                           x0_mean=np.zeros(3), V0=np.eye(3))
+
+
 def random_spd(rng, n, scale=1.0):
     F = rng.normal(size=(n, n))
     return scale * (F @ F.T + 0.5 * np.eye(n))

@@ -16,7 +16,7 @@ from robkf import FilterConfig, cli, load_model, run_filter, simulate
 from robkf.cli import main
 from robkf.contraction import _certify_each
 
-from conftest import example_matrices, random_model
+from conftest import example_matrices, precise_sensor_jordan_model, random_model
 
 
 @pytest.fixture
@@ -114,6 +114,19 @@ def test_negative_seed_exits_1(model_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be a nonnegative integer, got -1\n" * 2
+
+
+def test_certify_prints_an_unbounded_budget_and_compare_rejects_it(tmp_path, capsys):
+    # theta_bar lies past gamma's domain at tau < 1, so every radius is certified
+    path = _write_model(tmp_path, precise_sensor_jordan_model())
+    assert main(["certify", "--model", path, "--tau", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert '"c_max": Infinity' in out
+    assert json.loads(out)["c_max"] == float("inf")
+    assert main(["compare", "--model", path, "--steps", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: robust filter needs a finite c > 0, got inf\n"
 
 
 def test_metric_values(tmp_path, capsys):
@@ -310,6 +323,26 @@ def test_log_level_env_under_python_m(model_file):
                            "--filter", "standard", "--steps", "5"],
                           capture_output=True, text=True, check=True, env=env)
     assert "INFO robkf.cli: rmse kf = " in done.stderr
+
+
+def test_certify_agrees_across_blas_thread_counts(model_file):
+    # the BLAS thread count reorders sums: output is reproducible bit for bit
+    # only at one thread count, and agrees to 1e-12 relative across them
+    payloads = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(robkf.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "robkf.cli", "certify", "--model", model_file, "--tau", "0.5"],
+            capture_output=True, text=True, check=True, env=env)
+        payloads.append(json.loads(done.stdout))
+    one, two = payloads
+    assert one.keys() == two.keys()
+    for key, value in one.items():
+        if isinstance(value, str):
+            assert two[key] == value
+        else:
+            np.testing.assert_allclose(two[key], value, rtol=1e-12, atol=0, err_msg=key)
 
 
 def test_main_leaves_the_root_logger_alone(model_file, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from robkf import (
     ConfigError,
     DimensionMismatch,
     DomainViolation,
+    FilterConfig,
     NormalizedModel,
     NotObservable,
     NotReachable,
@@ -27,6 +29,7 @@ from robkf import (
     phi_gap,
     predict_covariance,
     risk_sensitive_map,
+    run_filter,
     solve_theta,
     standard_riccati,
     thompson_metric,
@@ -34,7 +37,7 @@ from robkf import (
 )
 from robkf.contraction import _map_blocks
 
-from conftest import random_model, random_spd
+from conftest import precise_sensor_jordan_model, random_model, random_spd
 
 
 def test_thompson_metric_basics():
@@ -555,6 +558,28 @@ def test_certify_floor_is_q_gain_form_steps(example_model):
             assert np.array_equal(certify(model, 0.5, q=q, N=max(nm.n, 10)).P_bar_q, P)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_certify_budget_is_unbounded_past_gammas_domain(tau):
+    # theta_bar (1 - tau) sigma_1(P_bar_q) >= 1: gamma is undefined at theta_bar,
+    # and every theta a robust filter solves stays below it
+    model = precise_sensor_jordan_model()
+    cert = certify(model, tau)
+    assert cert.sigma_n * cert.phi_N < 1.0
+    assert cert.theta_bar * (1.0 - tau) * np.linalg.eigvalsh(cert.P_bar_q)[-1] >= 1.0
+    assert cert.c_max == math.inf
+    with pytest.raises(DomainViolation):
+        gamma(cert.P_bar_q, cert.theta_bar, tau)
+    for c in (1e-3, 1.0, 1e3):
+        ft = run_filter(model, FilterConfig.robust(tau, c), np.zeros((300, 3)))
+        assert np.max(ft.theta_seq) < cert.theta_bar
+
+
+def test_certify_budget_stays_finite_at_tau_one_on_the_jordan_model():
+    cert = certify(precise_sensor_jordan_model(), 1.0)
+    assert cert.c_max == gamma(cert.P_bar_q, cert.theta_bar, 1.0)
+    assert cert.c_max == pytest.approx(1449.3466445869747, rel=1e-9)
+
+
 def test_certify_risk_sensitive(example_model):
     cert = certify(example_model, 1.0, mode="risk_sensitive")
     assert cert.c_max is None
@@ -571,6 +596,13 @@ def test_certify_config_errors(example_model):
         certify(example_model, 0.5, q=0)
     with pytest.raises(ConfigError):
         certify(example_model, 0.5, N=1)  # below the state dimension
+
+
+def test_certify_and_build_downsampled_reject_bool_counts(example_model):
+    with pytest.raises(ConfigError, match="q must be a positive integer, got True"):
+        certify(example_model, 0.5, q=True)
+    with pytest.raises(ConfigError, match="N must be a positive integer, got True"):
+        build_downsampled(normalize(example_model), True)
 
 
 def test_certificate_serializes(example_model):

@@ -265,14 +265,14 @@ def test_cycle_is_the_first_and_shortest_repeat(example_model, model, config):
 def test_cycle_is_a_repeat_of_v_and_theta(example_model, monkeypatch):
     # V_3 equals V_1 but comes with another theta, from which the next robust
     # solve would start; the cycle begins only when (V_2, theta_2) comes back
-    states = [(2.0, 0.1), (3.0, 0.2), (2.0, 0.3), (3.0, 0.2), (2.0, 0.3)]
+    states = iter([(2.0, 0.1), (3.0, 0.2), (2.0, 0.3), (3.0, 0.2), (2.0, 0.3)])
 
-    def scripted(model, config, V, theta):
-        for scale, theta_k in states:
-            V_k = scale * np.eye(2)
-            yield np.zeros((2, 1)), V_k, V_k, theta_k
+    def scripted(model, configs, noise, V, theta):
+        scale, theta_k = next(states)
+        V_k = scale * np.eye(2)
+        return np.zeros((2, 1)), V_k, V_k, theta_k
 
-    monkeypatch.setattr(riccati, "_recursion", scripted)
+    monkeypatch.setattr(riccati, "_bank_step", scripted)
     ft = run_filter(example_model, FilterConfig.robust(0.5, 0.1), np.zeros((10, 1)))
     assert ft.cycle == (2, 2)
     np.testing.assert_array_equal(ft.theta_seq, [0.1, 0.2, 0.3] + [0.2, 0.3] * 3 + [0.2])
@@ -431,6 +431,12 @@ def test_compare_label_dedup(example_model):
         example_model, [FilterConfig.standard(), FilterConfig.standard()],
         steps=5, seed=0)
     assert table.labels == ("kf", "kf_2")
+
+
+@pytest.mark.parametrize("steps,seed,name", [(True, 0, "steps"), (5, True, "seed")])
+def test_compare_rejects_bool_steps_and_seed(example_model, steps, seed, name):
+    with pytest.raises(ConfigError, match=f"{name} must be a nonnegative integer, got True"):
+        compare_filters(example_model, [FilterConfig.standard()], steps, seed)
 
 
 def test_compare_rejects_empty(example_model):

@@ -265,16 +265,22 @@ def test_bad_block_count_and_steps_raise_config_error(example_model):
         simulate(example_model, -1, 0)
 
 
-@pytest.mark.parametrize("steps", [2.5, "10"])
+@pytest.mark.parametrize("steps", [2.5, "10", True])
 def test_simulate_rejects_non_integer_steps(example_model, steps):
     with pytest.raises(ConfigError):
         simulate(example_model, steps, 0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True, False])
 def test_simulate_rejects_bad_seed(example_model, seed):
     with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
         simulate(example_model, 5, seed)
+
+
+def test_block_matrices_reject_a_bool_block_count(example_model):
+    for build in (reachability_matrix, observability_matrix, powers_matrix):
+        with pytest.raises(ConfigError, match="block count N must be a positive integer"):
+            build(example_model, True)
 
 
 def test_trajectory_length_mismatch():

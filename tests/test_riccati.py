@@ -259,6 +259,7 @@ def test_max_iter_exceeded_carries_report(example_normalized):
     dict(stepper="standard", max_iter=0),
     dict(stepper="standard", max_iter=-1),
     dict(stepper="standard", tol="x"),
+    dict(stepper="standard", max_iter=True),
 ])
 def test_fixed_point_config_errors(example_normalized, kwargs):
     stepper = kwargs.pop("stepper")
