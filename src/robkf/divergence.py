@@ -5,6 +5,11 @@ between two Gaussians, the radius function gamma(P, theta), its inverse
 solve_theta, the reweighted covariance v_update, and the bounds on the
 inverse gap Phi = P⁻¹ − V⁻¹.
 
+gamma and its theta-derivative are one pass over the n eigenvalues of P
+in Python floats with ``math``: per evaluation 2-4 µs at n = 2 and
+10-15 µs at n = 12, against 13-35 µs for numpy arrays, which win again
+from n ≈ 20 (one CPU of a shared 2-CPU x86-64 box, Python 3.11, numpy 2.4).
+
 tau interpolates between a Kullback-Leibler-type divergence at tau=0
 (twice the textbook KL, no 1/2 factor) and a log-weighted divergence at
 tau=1.
@@ -47,13 +52,12 @@ _EDGE_EPS = 1e-12
 _MAX_ITER = 200
 # np.exp overflows exactly for arguments above the log of the largest double.
 _EXP_MAX = math.log(np.finfo(float).max)
+# The smallest normal double; below it an eigenvalue has lost precision.
+_TINY = float(np.finfo(float).tiny)
 # For |u| < _SERIES_U the divergence is summed from its power series in u
 # up to u^_SERIES_ORDER; the first omitted term is below 1e-19 of the sum.
 _SERIES_U = 0.5
-_SERIES_BOUNDS = np.array([-_SERIES_U, _SERIES_U])
 _SERIES_ORDER = 18
-_SERIES_POWERS = np.arange(2, _SERIES_ORDER + 1)
-_SERIES_FACTORIALS = np.cumprod(np.arange(1.0, _SERIES_ORDER + 1))[1:]
 
 
 @dataclass(frozen=True)
@@ -136,64 +140,66 @@ def _positive_eigh(P: np.ndarray):
     return w, U
 
 
-def _expm1_over(a: float, u: np.ndarray) -> np.ndarray:
-    """expm1(a u) / a, continued by its limit u at a = 0."""
-    return u if a == 0.0 else np.expm1(a * u) / a
-
-
 @functools.lru_cache(maxsize=64)
-def _series_coefficients(tau: float) -> np.ndarray:
-    """(1 + tau + ... + tau^{m-2}) / m! for m = 2 .. _SERIES_ORDER."""
-    coef = np.cumsum(tau ** np.arange(_SERIES_ORDER - 1)) / _SERIES_FACTORIALS
-    coef.flags.writeable = False
-    return coef
+def _series_coefficients(tau: float) -> tuple[float, ...]:
+    """(1 + tau + ... + tau^{m-2}) / m! for m = _SERIES_ORDER down to 2."""
+    return tuple(sum(tau**k for k in range(m - 1)) / math.factorial(m)
+                 for m in range(_SERIES_ORDER, 1, -1))
 
 
-def _divergence_sum(u: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """Sum of g(u_i) over ascending u, and the derivatives g'(u_i).
+def _g(u: float, tau: float, coef: tuple[float, ...]) -> tuple[float, float]:
+    """g(u) and g'(u) at the float u, for coef = _series_coefficients(tau).
 
     g(u) is the per-eigenvalue divergence at the eigenvalue e^u of the
     covariance ratio: g(u) = e^{tau u} E(1-tau, u) - E(tau, u) with
-    E(a, u) = expm1(a u)/a, and g'(u) = e^{tau u} E(1-tau, u). The
-    closed form of g subtracts O(u) terms to get an O(u²) result, so for
-    |u| < _SERIES_U g is summed from its series instead,
+    E(a, u) = expm1(a u)/a (u at a = 0), and g'(u) = e^{tau u} E(1-tau, u).
+    The closed form of g subtracts O(u) terms to get an O(u²) result, so
+    for |u| < _SERIES_U g is summed from its series by Horner's rule,
 
         g(u) = sum_{m>=2} (1 + tau + ... + tau^{m-2}) u^m / m!.
 
-    The sum is +inf once exp overflows (u past ~709). Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    Both are +inf where exp overflows (u past ~709), or g is nan there.
     """
-    slope_u = np.exp(tau * u) * _expm1_over(1.0 - tau, u)
-    g = slope_u - _expm1_over(tau, u)
-    i, j = np.searchsorted(u, _SERIES_BOUNDS)
-    if j > i:
-        g[i:j] = (u[i:j, None] ** _SERIES_POWERS) @ _series_coefficients(tau)
-    total = float(g.sum())
-    return (total if math.isfinite(total) else math.inf), slope_u
+    a = 1.0 - tau
+    try:
+        slope = math.exp(tau * u) * (math.expm1(a * u) / a if a else u)
+        if -_SERIES_U <= u < _SERIES_U:
+            g = 0.0
+            for c in coef:
+                g = g * u + c
+            return g * u * u, slope
+        return slope - (math.expm1(tau * u) / tau if tau else u), slope
+    except OverflowError:
+        return math.inf, math.inf
 
 
-def _gamma_and_slope(d: np.ndarray, theta: float, tau: float) -> tuple[float, float]:
-    """gamma(P, theta, tau) and its derivative in theta.
-
-    d holds the eigenvalues of P in ascending order, and u = log of the
-    matching eigenvalues of P⁻¹ v_update(P, theta, tau) ascends with it.
-    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``.
-    """
+def _gamma_and_slope(d: list[float], theta: float, tau: float) -> tuple[float, float]:
+    """gamma(P, theta, tau) and its derivative in theta, in one pass over
+    the ascending eigenvalues d of P, a list of floats: the sums of g(u)
+    and g'(u) du/dtheta at u = log of the matching eigenvalues of
+    P⁻¹ v_update(P, theta, tau)."""
+    coef = _series_coefficients(tau)
+    total = slope = 0.0
     if tau < 1.0:
-        x = theta * (1.0 - tau) * d
-        if x[-1] >= 1.0:
+        a = 1.0 - tau
+        t = theta * a
+        if t * d[-1] >= 1.0:
             raise DomainViolation(
                 f"theta={theta:.6e} outside the domain: theta*(1-tau)*sigma1(P) must be < 1"
             )
-        u = -np.log1p(-x) / (1.0 - tau)
-        du = d / (1.0 - x)
+        for w in d:
+            x = t * w
+            g, s = _g(-math.log1p(-x) / a, tau, coef)
+            total += g
+            slope += s * (w / (1.0 - x))
     else:
-        u = theta * d
-        du = d
-    total, slope_u = _divergence_sum(u, tau)
-    if total == math.inf:
+        for w in d:
+            g, s = _g(theta * w, tau, coef)
+            total += g
+            slope += s * w
+    if not math.isfinite(total):
         return math.inf, math.inf
-    return total, float(slope_u @ du)
+    return total, slope
 
 
 def gamma(P: np.ndarray, theta: float, tau: float) -> float:
@@ -216,9 +222,7 @@ def gamma(P: np.ndarray, theta: float, tau: float) -> float:
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
-    d = _psd_spectrum(P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gamma_and_slope(d, theta, tau)[0]
+    return _gamma_and_slope(_psd_spectrum(P).tolist(), theta, tau)[0]
 
 
 def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
@@ -231,11 +235,13 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
     start is above the root: gamma >= theta² |d|²/2 for the eigenvalues
     d of P, which gives theta0 = sqrt(2c)/|d|; at tau = 1 theta0 is
     capped by max(2, log c)/sigma1(P), at tau < 1 by the domain
-    boundary. The eigendecomposition of P is done once and reused
-    across iterations; it is the one ``v_update`` does, so
-    ``v_update(P, solve_theta(P, c, tau), tau)`` is bit for bit the cold
-    reweighting step of a robust filter. Deterministic: identical inputs
-    give bit-identical output.
+    boundary. The eigendecomposition of P is done once, the one
+    ``v_update`` does, so ``v_update(P, solve_theta(P, c, tau), tau)`` is
+    bit for bit the cold reweighting step of a robust filter. Each
+    iteration evaluates gamma and its slope in one pass over the n
+    eigenvalues as Python floats, about 1 µs per eigenvalue: faster than
+    numpy arrays up to n ≈ 20 (module docstring). Deterministic:
+    identical inputs give bit-identical output.
 
     Parameters
     ----------
@@ -284,42 +290,42 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
     cold start solve_theta documents. From below the root the first
     Newton step lands above it, and the descent continues from there.
     """
-    d_max = float(d[-1])
+    d = d.tolist()
+    d_max = d[-1]
     edge = (1.0 - _EDGE_EPS) / ((1.0 - tau) * d_max) if tau < 1.0 else math.inf
     log_c = math.log(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not 0.0 < theta < edge:
-            theta = math.sqrt(2.0) * math.sqrt(c) / float(np.linalg.norm(d))
-            if tau < 1.0:
-                theta = min(theta, edge)
-            else:
-                # at the top eigenvalue u e^u - e^u + 1 >= e^u once u >= 2
-                theta = min(theta, max(2.0, log_c) / d_max)
-        lo, hi = 0.0, edge
-        for _ in range(_MAX_ITER):
-            val, slope = _gamma_and_slope(d, theta, tau)
-            if abs(val - c) <= THETA_RTOL * c:
-                return theta
-            if val > c:
-                hi = theta
-            else:
-                lo = theta
-            nxt = math.nan
-            if 0.0 < val < math.inf:
-                # d log theta / d log gamma = val / (theta slope), at most 1/2
-                try:
-                    nxt = theta * math.exp((log_c - math.log(val)) * (val / slope / theta))
-                except OverflowError:
-                    nxt = math.inf
+    if not 0.0 < theta < edge:
+        theta = math.sqrt(2.0) * math.sqrt(c) / math.hypot(*d)
+        if tau < 1.0:
+            theta = min(theta, edge)
+        else:
+            # at the top eigenvalue u e^u - e^u + 1 >= e^u once u >= 2
+            theta = min(theta, max(2.0, log_c) / d_max)
+    lo, hi = 0.0, edge
+    for _ in range(_MAX_ITER):
+        val, slope = _gamma_and_slope(d, theta, tau)
+        if abs(val - c) <= THETA_RTOL * c:
+            return theta
+        if val > c:
+            hi = theta
+        else:
+            lo = theta
+        nxt = math.nan
+        if 0.0 < val < math.inf:
+            # d log theta / d log gamma = val / (theta slope), at most 1/2
+            try:
+                nxt = theta * math.exp((log_c - math.log(val)) * (val / slope / theta))
+            except OverflowError:
+                nxt = math.inf
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * theta
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * theta
-                if not lo < nxt < hi:
-                    break
-            theta = nxt
-        if tau < 1.0 and _gamma_and_slope(d, edge, tau)[0] < c:
-            raise ToleranceUnreachable(
-                f"radius c={c:.6e} is beyond the attainable range for tau={tau}"
-            )
+                break
+        theta = nxt
+    if tau < 1.0 and _gamma_and_slope(d, edge, tau)[0] < c:
+        raise ToleranceUnreachable(
+            f"radius c={c:.6e} is beyond the attainable range for tau={tau}"
+        )
     raise NonConvergence(
         f"theta solve did not converge for c={c:.6e}, tau={tau}"
     )
@@ -428,6 +434,22 @@ def phi_upper_bound(theta: float, tau: float, d_bar: float) -> float:
     return -np.expm1(-theta * d_bar) / d_bar
 
 
+def _log_eigenvalues(Q: np.ndarray, P: np.ndarray, L: np.ndarray) -> list[float]:
+    """log of the ascending generalized eigenvalues of the pencil (Q, P = L Lᵀ),
+    as floats. Where one is not a normal positive double, Q is first scaled
+    exactly by a power of two to the scale of P and the log of that scale
+    added back; DomainViolation if it still is not."""
+    shift = 0
+    lam = _linalg.generalized_eigvalsh(Q, L)
+    if not _TINY <= lam[0] <= lam[-1] < math.inf:
+        shift = math.frexp(np.max(np.diag(Q)))[1] - math.frexp(np.max(np.diag(P)))[1]
+        lam = _linalg.generalized_eigvalsh(np.ldexp(Q, -shift), L)
+        if not _TINY <= lam[0] <= lam[-1] < math.inf:
+            raise DomainViolation("the covariance ratio has an eigenvalue beyond the double range")
+    log_scale = shift * math.log(2.0)
+    return [log_scale + math.log(x) for x in lam.tolist()]
+
+
 def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> float:
     """Divergence D_tau(f_tilde || f) between two Gaussians.
 
@@ -443,7 +465,9 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     the divergence +inf. Invariant under the choice of symmetric factor
     of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
     covariance part is evaluated in u = log lam, from its power series
-    where the closed forms above cancel (lam near 1).
+    where the closed forms above cancel (lam near 1). A lam beyond the
+    double range is taken from a rescaled pair of covariances; where
+    that is out of range too, DomainViolation.
     """
     tau = check_tau(tau)
     if f_tilde.dim != f.dim:
@@ -455,9 +479,11 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     if tau == 1.0 and not means_equal:
         return float("inf")
     L = _linalg.cholesky_spd(f.cov, "cov")
-    lam = np.clip(_linalg.generalized_eigvalsh(f_tilde.cov, L), 1e-300, None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov_part = _divergence_sum(np.log(lam), tau)[0]
+    coef = _series_coefficients(tau)
+    u = _log_eigenvalues(f_tilde.cov, f.cov, L)
+    cov_part = sum(_g(x, tau, coef)[0] for x in u)
+    if not math.isfinite(cov_part):
+        cov_part = math.inf
     mean_part = 0.0
     if not means_equal:
         z = np.linalg.solve(L, dm)

@@ -7,6 +7,7 @@ from robkf import (
     DimensionMismatch,
     DomainViolation,
     GaussianDensity,
+    NonConvergence,
     NotOrdered,
     NotSPD,
     ToleranceUnreachable,
@@ -17,6 +18,9 @@ from robkf import (
     tau_divergence,
     v_update,
 )
+
+from robkf import divergence
+from robkf.divergence import THETA_RTOL
 
 from conftest import random_spd
 
@@ -124,6 +128,106 @@ def test_gamma_matches_divergence_of_reweighted_pair():
             GaussianDensity(mean=np.zeros(3), cov=V),
             GaussianDensity(mean=np.zeros(3), cov=P), tau)
         assert direct == pytest.approx(via_divergence, rel=1e-9, abs=1e-12)
+
+
+def _g_and_slope_mp(u, tau):
+    """g(u) and g'(u) of the divergence in mpmath, from their closed forms
+    at the working precision, which the callers set to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    u, e = mpmath.mpf(u), mpmath.exp
+    if tau == 0.0:
+        return e(u) - 1 - u, e(u) - 1
+    if tau == 1.0:
+        return u * e(u) - e(u) + 1, u * e(u)
+    slope = (e(u) - e(tau * u)) / (1 - mpmath.mpf(tau))
+    return slope - (e(tau * u) - 1) / tau, slope
+
+
+GAMMA_REFERENCE_TAUS = [0.0, 1e-7, 0.5, 1 - 1e-7, 1.0]
+
+
+@pytest.mark.parametrize("u_top", [1e-4, 0.49, 0.5 - 1e-6, 0.5 + 1e-6, 0.51, 2.0, 50.0])
+@pytest.mark.parametrize("tau", GAMMA_REFERENCE_TAUS)
+def test_gamma_and_slope_match_mpmath(tau, u_top):
+    # theta puts the top u at u_top, either side of the series switch at
+    # 0.5 among others, or as close to u_top as the domain allows. Below
+    # tau = 1 the reference starts from the float x = theta (1-tau) w the
+    # float pass forms: near the domain edge gamma is ill-conditioned in x.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([15, GAMMA_REFERENCE_TAUS.index(tau), int(1e6 * u_top)])
+    for n in (1, 2, 3, 5, 8, 12):
+        d = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))
+        if n in (3, 12):
+            d[0] = 0.0
+        d = d.tolist()
+        if tau < 1.0:
+            theta = -math.expm1(-(1.0 - tau) * u_top) / ((1.0 - tau) * d[-1])
+            while theta * (1.0 - tau) * d[-1] >= 1.0:
+                theta = math.nextafter(theta, 0.0)
+        else:
+            theta = u_top / d[-1]
+        with mpmath.workdps(50):
+            want = want_slope = 0
+            for w in d:
+                if tau < 1.0:
+                    x = mpmath.mpf(theta * (1.0 - tau) * w)
+                    u, du = -mpmath.log1p(-x) / (1 - mpmath.mpf(tau)), w / (1 - x)
+                else:
+                    u, du = mpmath.mpf(theta) * w, w
+                g, slope = _g_and_slope_mp(u, tau)
+                want, want_slope = want + g, want_slope + slope * du
+            want, want_slope = float(want), float(want_slope)
+        got, got_slope = divergence._gamma_and_slope(d, theta, tau)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), (n, d, theta)
+        assert got_slope == pytest.approx(want_slope, rel=1e-13, abs=0.0), (n, d, theta)
+
+
+def test_gamma_and_solve_theta_edge_outcomes():
+    # pytest turns warnings into errors, so these also show that no
+    # RuntimeWarning and no bare OverflowError leaves the float pass
+    P = np.diag([1e-3, 2.0])
+    for theta in (400.0, 1e300, np.inf):
+        assert gamma(P, theta, 1.0) == np.inf
+    assert gamma(1e300 * np.eye(2), 1.0, 1.0) == np.inf
+    assert math.isfinite(gamma(P, (1 - 1e-16) / 2, 0.0))
+    theta = solve_theta(P, 1e-320, 0.5)
+    assert theta == pytest.approx(7.071027567424444e-161, rel=1e-12, abs=0.0)
+    assert solve_theta(P, 1e308, 1.0) == pytest.approx(351.3213921110157, rel=1e-12, abs=0.0)
+    with pytest.raises(ToleranceUnreachable):
+        solve_theta(P, 1e308, 0.0)
+    try:
+        theta = solve_theta(P, 1e8, 0.0)
+    except NonConvergence:
+        pass
+    else:
+        assert abs(gamma(P, theta, 0.0) - 1e8) <= THETA_RTOL * 1e8
+    huge = GaussianDensity(np.zeros(2), 1e300 * np.eye(2))
+    tiny = GaussianDensity(np.zeros(2), 1e-300 * np.eye(2))
+    for tau in (0.5, 1.0):
+        assert tau_divergence(huge, tiny, tau) == np.inf
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200])
+def test_divergence_of_a_covariance_ratio_beyond_the_double_range(scale, tau):
+    # the ratio scale² of the two covariances is subnormal or below every
+    # double; u = log of it stays exact
+    mpmath = pytest.importorskip("mpmath")
+    f_tilde = GaussianDensity(np.zeros(2), scale * np.eye(2))
+    f = GaussianDensity(np.zeros(2), np.eye(2) / scale)
+    with mpmath.workdps(50):
+        u = mpmath.log(mpmath.mpf(f_tilde.cov[0, 0]) / mpmath.mpf(f.cov[0, 0]))
+        want = float(2 * _g_and_slope_mp(u, tau)[0])
+    assert tau_divergence(f_tilde, f, tau) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_divergence_of_a_ratio_out_of_range_after_rescaling():
+    wide = GaussianDensity(np.zeros(2), np.diag([1e-200, 1e200]))
+    with pytest.raises(DomainViolation):
+        tau_divergence(wide, GaussianDensity(np.zeros(2), 1e-160 * np.eye(2)), 0.0)
+    # in range without rescaling: lam = 1e-200 and 1e200
+    got = tau_divergence(wide, GaussianDensity(np.zeros(2), np.eye(2)), 0.0)
+    assert got == pytest.approx(1e200, rel=1e-13, abs=0.0)
 
 
 def test_gamma_domain_violation():
