@@ -208,6 +208,14 @@ def test_gamma_and_solve_theta_edge_outcomes():
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_solve_theta_on_eigenvalues_whose_squares_underflow(tau):
+    # the cold start divides by |d|, which must not underflow to zero
+    for P in (1e-200 * np.eye(2), np.diag([1e-170, 1e-165])):
+        theta = solve_theta(P, 0.1, tau)
+        assert abs(gamma(P, theta, tau) - 0.1) <= THETA_RTOL * 0.1
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200])
 def test_divergence_of_a_covariance_ratio_beyond_the_double_range(scale, tau):
     # the ratio scale² of the two covariances is subnormal or below every
