@@ -7,7 +7,7 @@ inverse gap Phi = P⁻¹ − V⁻¹.
 
 gamma and its theta-derivative are one pass over the n eigenvalues of P
 in Python floats with ``math``: per evaluation 2-4 µs at n = 2 and
-10-15 µs at n = 12, against 13-35 µs for numpy arrays, which win again
+10-20 µs at n = 12, against 13-35 µs for numpy arrays, which win again
 from n ≈ 20 (one CPU of a shared 2-CPU x86-64 box, Python 3.11, numpy 2.4).
 
 tau interpolates between a Kullback-Leibler-type divergence at tau=0
