@@ -34,7 +34,7 @@ import numpy as np
 from robkf.contraction import _certify_each, certify, thompson_metric
 from robkf.errors import ConfigError, ModelError, ModelIOError, NumericError, RobkfError
 from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
-from robkf.model import load_model, simulate
+from robkf.model import _read_json, load_model, simulate
 
 __all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main"]
 
@@ -137,11 +137,14 @@ def _parse_filter_spec(spec: str) -> FilterConfig:
 def cmd_compare(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if args.filter:
+        if args.q is not None or args.N is not None:
+            raise ConfigError("--q and --N certify the default panel; --filter replaces it")
         configs = [_parse_filter_spec(s) for s in args.filter]
     else:
+        q = 40 if args.q is None else args.q
         configs = [FilterConfig.standard()] + [
             FilterConfig.robust(cert.tau, cert.c_max)
-            for cert in _certify_each(model, (0.0, 0.5, 1.0), q=args.q, N=args.N)
+            for cert in _certify_each(model, (0.0, 0.5, 1.0), q=q, N=args.N)
         ]
     steps = 100 if args.steps is None else args.steps
     if steps < 0:
@@ -160,14 +163,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelIOError(f"matrix: {path} not readable") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(f"matrix: {path} is not valid JSON ({exc})") from exc
+    data = _read_json(path, "matrix")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -234,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(comp)
     comp.add_argument("--steps", type=int, default=None, help="simulation length (default 100)")
     comp.add_argument("--seed", type=int, default=None, help="simulation seed (default 0)")
-    comp.add_argument("--q", type=int, default=40, help="certification burn-in (default 40)")
-    comp.add_argument("--N", type=int, default=None, help="certification block length")
+    comp.add_argument("--q", type=int, default=None,
+                      help="certification burn-in of the default panel (default 40)")
+    comp.add_argument("--N", type=int, default=None,
+                      help="certification block length of the default panel")
     comp.add_argument(
         "--filter", action="append", default=None, metavar="SPEC",
         help="filter spec 'standard', 'robust:tau=T,c=C', or 'risk_sensitive:tau=T,theta=H'; "

@@ -434,20 +434,25 @@ def phi_upper_bound(theta: float, tau: float, d_bar: float) -> float:
     return -np.expm1(-theta * d_bar) / d_bar
 
 
-def _log_eigenvalues(Q: np.ndarray, P: np.ndarray, L: np.ndarray) -> list[float]:
-    """log of the ascending generalized eigenvalues of the pencil (Q, P = L Lᵀ),
-    as floats. Where one is not a normal positive double, Q is first scaled
-    exactly by a power of two to the scale of P and the log of that scale
-    added back; DomainViolation if it still is not."""
-    shift = 0
-    lam = _linalg.generalized_eigvalsh(Q, L)
+def _log_eigenvalues(Q: np.ndarray, P: np.ndarray) -> list[float]:
+    """log of the ascending generalized eigenvalues lam of the SPD pencil (Q, P),
+    as floats. The pencil is first rescaled exactly by powers of two: a
+    diagonal congruence, which keeps every lam, evens out Q_ii and P_ii, and
+    scaling Q and P apart divides every lam by 2^t, t centring the ratios
+    Q_ii/P_ii (which lie between the extreme lam); log 2^t is added back.
+    DomainViolation where a lam is still not a normal positive double."""
+    eq, ep = np.frexp(np.diag(Q))[1], np.frexp(np.diag(P))[1]
+    t = int((eq - ep).max() + (eq - ep).min()) // 2
+    k = -((eq + ep) // 4)
+    E = k[:, None] + k[None, :]
+    L = _linalg.cholesky_spd(np.ldexp(P, E + t - t // 2), "cov")
+    try:
+        lam = _linalg.generalized_eigvalsh(np.ldexp(Q, E - t // 2), L)
+    except np.linalg.LinAlgError:  # the whitened Q overflowed
+        lam = [math.inf]
     if not _TINY <= lam[0] <= lam[-1] < math.inf:
-        shift = math.frexp(np.max(np.diag(Q)))[1] - math.frexp(np.max(np.diag(P)))[1]
-        lam = _linalg.generalized_eigvalsh(np.ldexp(Q, -shift), L)
-        if not _TINY <= lam[0] <= lam[-1] < math.inf:
-            raise DomainViolation("the covariance ratio has an eigenvalue beyond the double range")
-    log_scale = shift * math.log(2.0)
-    return [log_scale + math.log(x) for x in lam.tolist()]
+        raise DomainViolation("the covariance ratio spans more than the double range")
+    return [t * math.log(2.0) + math.log(x) for x in lam.tolist()]
 
 
 def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> float:
@@ -465,9 +470,10 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     the divergence +inf. Invariant under the choice of symmetric factor
     of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
     covariance part is evaluated in u = log lam, from its power series
-    where the closed forms above cancel (lam near 1). A lam beyond the
-    double range is taken from a rescaled pair of covariances; where
-    that is out of range too, DomainViolation.
+    where the closed forms above cancel (lam near 1). The lam come from
+    the pair of covariances rescaled by powers of two, so a lam beyond the
+    double range still counts; DomainViolation where the lam span more
+    than the double range.
     """
     tau = check_tau(tau)
     if f_tilde.dim != f.dim:
@@ -478,14 +484,13 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     means_equal = np.max(np.abs(dm), initial=0.0) <= MEAN_TOL
     if tau == 1.0 and not means_equal:
         return float("inf")
-    L = _linalg.cholesky_spd(f.cov, "cov")
     coef = _series_coefficients(tau)
-    u = _log_eigenvalues(f_tilde.cov, f.cov, L)
+    u = _log_eigenvalues(f_tilde.cov, f.cov)
     cov_part = sum(_g(x, tau, coef)[0] for x in u)
     if not math.isfinite(cov_part):
         cov_part = math.inf
     mean_part = 0.0
     if not means_equal:
-        z = np.linalg.solve(L, dm)
+        z = np.linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm)
         mean_part = float(z @ z) / (1.0 - tau)
     return max(cov_part + mean_part, 0.0)

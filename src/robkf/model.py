@@ -152,6 +152,19 @@ class StateSpaceModel:
         return self.B @ self.B.T, self.B @ self.D.T, self.D @ self.D.T
 
 
+def _cross_covariance(model: StateSpaceModel) -> float:
+    """max |B Dᵀ| when the noises count as correlated (above CROSS_COV_TOL), else 0."""
+    cross = float(np.max(np.abs(model.B @ model.D.T), initial=0.0))
+    return cross if cross > CROSS_COV_TOL else 0.0
+
+
+def _require_uncorrelated(model: StateSpaceModel) -> None:
+    """ModelError unless the model's noises count as uncorrelated."""
+    cross = _cross_covariance(model)
+    if cross:
+        raise ModelError(f"correlated noise (max |B Dᵀ| = {cross:.3e}); normalize() first")
+
+
 @dataclass(frozen=True)
 class NormalizedModel(StateSpaceModel):
     """Model with uncorrelated noises: B Dᵀ = 0 (absolute tol 1e-12 per entry).
@@ -162,12 +175,7 @@ class NormalizedModel(StateSpaceModel):
 
     def __post_init__(self):
         super().__post_init__()
-        cross = np.max(np.abs(self.B @ self.D.T), initial=0.0)
-        if cross > CROSS_COV_TOL:
-            raise ModelError(
-                f"B Dᵀ has entries up to {cross:.3e}; run normalize() before "
-                "constructing a NormalizedModel"
-            )
+        _require_uncorrelated(self)
 
 
 @dataclass(frozen=True)
@@ -232,13 +240,13 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
     NotReachable, NotObservable
         If the transformed pair fails its rank test.
     """
-    BBt, BDt, DDt = model.noise_covariances()
-    if np.max(np.abs(BDt), initial=0.0) <= CROSS_COV_TOL:
+    if not _cross_covariance(model):
         candidate = NormalizedModel(
             A=model.A, B=model.B, C=model.C, D=model.D,
             x0_mean=model.x0_mean, V0=model.V0,
         )
     else:
+        BBt, BDt, DDt = model.noise_covariances()
         n, m, p = model.n, model.m, model.p
         W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
         A_t = model.A - BDt @ W[:, :n]
@@ -285,8 +293,21 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     return Trajectory(states=states, observations=observations, seed=seed)
 
 
-def _reject_token(token: str):
-    raise ModelIOError(f"non-finite literal {token!r} in model file")
+def _read_json(path, what: str):
+    """The JSON value in the file at path. An unreadable file, invalid JSON
+    and the literals NaN, Infinity and -Infinity raise ModelIOError naming
+    ``what`` and the path."""
+    def reject(token: str):
+        raise ModelIOError(f"{what}: {path} holds the non-finite literal {token!r}")
+
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ModelIOError(f"{what}: {path} not readable") from exc
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ModelIOError(f"{what}: {path} is not valid JSON ({exc})") from exc
 
 
 def load_model(path) -> StateSpaceModel:
@@ -296,14 +317,7 @@ def load_model(path) -> StateSpaceModel:
     nested arrays), x0_mean (flat array), and V0 (nested array). NaN and
     infinity are rejected.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelIOError(f"model: {path} not readable") from exc
-    try:
-        data = json.loads(text, parse_constant=_reject_token)
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(f"model: {path} is not valid JSON ({exc})") from exc
+    data = _read_json(path, "model")
     if not isinstance(data, dict):
         raise ModelIOError(f"model: {path} must contain a JSON object")
     missing = sorted(set(_FIELDS) - set(data))

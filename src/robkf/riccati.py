@@ -18,10 +18,10 @@ Each caller loops over it: ``filters.run_filter`` and
 retires each row at its first exact repeat of (V, theta) and copies its
 cycle), ``iterate_to_fixed_point`` and the single-step recursions, so a
 fixed point, a single step, a filter run and a run in a bank are the
-same arithmetic.
+same arithmetic, and take a correlated model (B Dᵀ ≠ 0) as given.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
-recursion steps through them.
+recursion steps through them, and only they need B Dᵀ = 0.
 
 Convergence is measured in the Thompson metric, where the theory
 guarantees contraction; see the contraction module for certificates.
@@ -48,10 +48,9 @@ from robkf.errors import (
     DimensionMismatch,
     DomainViolation,
     MaxIterExceeded,
-    ModelError,
     NotSPD,
 )
-from robkf.model import CROSS_COV_TOL, StateSpaceModel, _integer
+from robkf.model import StateSpaceModel, _integer, _require_uncorrelated
 
 __all__ = [
     "FilterConfig",
@@ -285,8 +284,9 @@ class FixedPointReport:
     """Converged state of a covariance iteration.
 
     ``identity_residual`` is the relative residual of
-    P = (A−GC) V (A−GC)ᵀ + BBᵀ + G (DDᵀ) Gᵀ at the fixed point,
-    reported as a diagnostic only. ``theta_star`` is None for the
+    P = (A−GC) V (A−GC)ᵀ + (B−GD)(B−GD)ᵀ at the fixed point, an
+    identity of every model because G S = A V Cᵀ + B Dᵀ, reported as a
+    diagnostic only. ``theta_star`` is None for the
     standard stepper.
     """
 
@@ -298,14 +298,6 @@ class FixedPointReport:
     final_step_distance: float
     spectral_radius_closed_loop: float
     identity_residual: float
-
-
-def _require_uncorrelated(model: StateSpaceModel) -> None:
-    cross = np.max(np.abs(model.B @ model.D.T), initial=0.0)
-    if cross > CROSS_COV_TOL:
-        raise ModelError(
-            f"model has correlated noise (max |B Dᵀ| = {cross:.3e}); normalize() first"
-        )
 
 
 def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
@@ -320,27 +312,21 @@ def _observation_information(model: StateSpaceModel) -> np.ndarray:
     return _linalg.sym(model.C.T @ _linalg.solve_spd(DDt, model.C, "D Dᵀ"))
 
 
-def _gain_and_innovation(model: StateSpaceModel, V: np.ndarray, noise):
-    """Gain G at V, the innovation covariance S and A V, given the model's
-    ``noise_covariances()``."""
-    _, BDt, DDt = noise
+def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
+    """Gain G = (A V Cᵀ + B Dᵀ) S⁻¹ at V, S = C V Cᵀ + D Dᵀ, and, for an exactly
+    symmetric V, the prediction A V Aᵀ − G S Gᵀ + B Bᵀ, from one solve of S,
+    given the model's ``noise_covariances()``."""
+    BBt, BDt, DDt = noise
     AV = model.A @ V
     S = _linalg.sym(model.C @ V @ model.C.T + DDt)
     G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).swapaxes(-1, -2),
                                     "innovation covariance").swapaxes(-1, -2)
-    return G, S, AV
+    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.swapaxes(-1, -2) + BBt)
 
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹."""
-    return _gain_and_innovation(model, np.asarray(V, dtype=float), model.noise_covariances())[0]
-
-
-def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
-    """Gain G at the exactly symmetric V and the prediction A V Aᵀ − G S Gᵀ + B Bᵀ,
-    from one solve of S, given the model's ``noise_covariances()``."""
-    G, S, AV = _gain_and_innovation(model, V, noise)
-    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.swapaxes(-1, -2) + noise[0])
+    return _gain_and_prediction(model, np.asarray(V, dtype=float), model.noise_covariances())[0]
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
@@ -356,9 +342,9 @@ def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
 def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     """Information-form Riccati map A (P⁻¹ + Cᵀ(DDᵀ)⁻¹C)⁻¹ Aᵀ + B Bᵀ.
 
-    Requires an uncorrelated model (B Dᵀ = 0). Singular PSD inputs are
-    handed to the gain form ``predict_covariance``, the same map on
-    uncorrelated models, so the map can be started at B Bᵀ.
+    Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
+    Singular PSD inputs are handed to the gain form ``predict_covariance``,
+    the same map on uncorrelated models, so the map can be started at B Bᵀ.
     """
     _require_uncorrelated(model)
     P = np.asarray(P, dtype=float)
@@ -374,6 +360,7 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
 def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     """Fixed-reweighting Riccati map A (P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C)⁻¹ Aᵀ + B Bᵀ.
 
+    Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
     Raises DomainViolation when P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C is not positive
     definite (the map is undefined there).
     """
@@ -393,7 +380,6 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
     """Reweight P into V_in, then take one step of the recursion from V_in."""
-    _require_uncorrelated(model)
     V_in, theta_in = _reweight(config, _linalg.sym(_square(model, P, "P")))
     G, P_next, V, theta = _bank_step(model, (config,), model.noise_covariances(), V_in, theta_in)
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
@@ -437,13 +423,6 @@ def risk_sensitive_step(
     n×n raises DimensionMismatch.
     """
     return _step(model, _step_config(kind="risk_sensitive", tau=tau, theta=theta), P)
-
-
-def _identity_residual(model: StateSpaceModel, P: np.ndarray, V: np.ndarray, G: np.ndarray) -> float:
-    DDt = model.D @ model.D.T
-    AGC = model.A - G @ model.C
-    recon = AGC @ V @ AGC.T + model.B @ model.B.T + G @ DDt @ G.T
-    return float(np.linalg.norm(P - recon) / max(1.0, np.linalg.norm(P)))
 
 
 def iterate_to_fixed_point(
@@ -490,7 +469,6 @@ def iterate_to_fixed_point(
     if not _as_float(tol) > 0.0:
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     max_iter = _integer(max_iter, 1, "max_iter must be a positive integer, got {value!r}")
-    _require_uncorrelated(model)
     V, th = _linalg.sym(_square(model, start, "start")), 0.0
     _linalg.psd_spectrum(V, "start")
 
@@ -511,6 +489,8 @@ def iterate_to_fixed_point(
             break
 
     G_star = gain(model, V)
+    AGC, BGD = model.A - G_star @ model.C, model.B - G_star @ model.D
+    residual = np.linalg.norm(P_star - (AGC @ V @ AGC.T + BGD @ BGD.T))
     report = FixedPointReport(
         P_star=P_star,
         V_star=V,
@@ -518,8 +498,8 @@ def iterate_to_fixed_point(
         G_star=G_star,
         iterations=iterations,
         final_step_distance=dist,
-        spectral_radius_closed_loop=_linalg.spectral_radius(model.A - G_star @ model.C),
-        identity_residual=_identity_residual(model, P_star, V, G_star),
+        spectral_radius_closed_loop=_linalg.spectral_radius(AGC),
+        identity_residual=float(residual / max(1.0, np.linalg.norm(P_star))),
     )
     if not converged:
         raise MaxIterExceeded(

@@ -149,6 +149,21 @@ def test_metric_failures(tmp_path, capsys):
     assert f"matrix: {missing} not readable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_exit_2(model_file, tmp_path, capsys, literal):
+    p = matrix_file(tmp_path, "p.json", np.eye(2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[[{literal}, 0], [0, 1]]")
+    assert main(["metric", p, str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: matrix: {bad} holds the non-finite literal {literal!r}\n")
+    model = tmp_path / "model.json"
+    model.write_text(Path(model_file).read_text().replace("0.1", literal, 1))
+    assert main(["certify", "--model", str(model), "--tau", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: model: {model} holds the non-finite literal {literal!r}\n")
+
+
 def test_metric_shape_mismatch_exits_2(tmp_path, capsys):
     p = matrix_file(tmp_path, "p.json", np.eye(2))
     q = matrix_file(tmp_path, "q.json", np.eye(3))
@@ -299,6 +314,16 @@ def test_compare_bad_filter_spec(model_file, capsys):
     assert main(["compare", "--model", model_file, "--filter", "robust:tau=0.5,c=x"]) == 1
     assert main(["compare", "--model", model_file, "--filter", "standard:nope=1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--q", "0"], ["--q", "40"], ["--N", "1"]])
+def test_compare_rejects_certification_flags_with_filter(model_file, tmp_path, capsys, flag):
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--model", model_file, "--filter", "standard", *flag,
+                 "--steps", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: --q and --N certify the default panel; --filter replaces it\n")
 
 
 def test_log_level_env(model_file, capsys, monkeypatch):

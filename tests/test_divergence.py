@@ -231,11 +231,27 @@ def test_divergence_of_a_covariance_ratio_beyond_the_double_range(scale, tau):
 
 def test_divergence_of_a_ratio_out_of_range_after_rescaling():
     wide = GaussianDensity(np.zeros(2), np.diag([1e-200, 1e200]))
-    with pytest.raises(DomainViolation):
-        tau_divergence(wide, GaussianDensity(np.zeros(2), 1e-160 * np.eye(2)), 0.0)
+    # lam = 1e-40 and 1e360: u = log 1e360 ≈ 829 puts the sum past exp's range
+    assert tau_divergence(wide, GaussianDensity(np.zeros(2), 1e-160 * np.eye(2)), 0.0) == math.inf
     # in range without rescaling: lam = 1e-200 and 1e200
     got = tau_divergence(wide, GaussianDensity(np.zeros(2), np.eye(2)), 0.0)
     assert got == pytest.approx(1e200, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_divergence_centres_a_ratio_whose_ends_leave_the_double_range_apart(tau):
+    # lam = 1e-400 and 1e10: matching the largest variances of the two
+    # scales 1e-300 out of the double range; centring the ratios keeps both
+    mpmath = pytest.importorskip("mpmath")
+    f_tilde = GaussianDensity(np.zeros(2), np.diag([1e-300, 1e110]))
+    f = GaussianDensity(np.zeros(2), 1e100 * np.eye(2))
+    with mpmath.workdps(50):
+        want = float(sum(_g_and_slope_mp(mpmath.log(mpmath.mpf(q) / mpmath.mpf(1e100)), tau)[0]
+                         for q in (1e-300, 1e110)))
+    assert tau_divergence(f_tilde, f, tau) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # lam = 1e-500 and 1e410: no one scale holds both
+    with pytest.raises(DomainViolation, match="spans more than the double range"):
+        tau_divergence(f_tilde, GaussianDensity(np.zeros(2), np.diag([1e200, 1e-300])), tau)
 
 
 def test_gamma_domain_violation():

@@ -137,11 +137,39 @@ def test_robust_step_degenerates_to_standard(example_normalized):
     assert thompson_metric(step.P_next, base) < 1e-5
 
 
-def test_robust_step_requires_normalized_noise(make_model):
-    rng = np.random.default_rng(24)
-    model = make_model(rng, n=2, p=1, correlated=True)
+def test_single_steps_and_fixed_points_take_correlated_models(make_model):
+    # the gain form holds for B Dᵀ ≠ 0, so a correlated model steps as given
+    # and lands where its normalized model does
+    worst = 0.0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        model = make_model(rng, n=2 + seed % 4, p=1, correlated=True)
+        nm = normalize(model)
+        P = random_spd(rng, model.n)
+        runs = []
+        for tau in (0.0, 0.5, 1.0):
+            runs.append((robust_step, (P, 0.05, tau)))
+            runs.append((risk_sensitive_step, (P, 0.02 / np.linalg.eigvalsh(P)[-1], tau)))
+        for step, args in runs:
+            got, want = step(model, *args), step(nm, *args)
+            worst = max(worst, thompson_metric(got.P_next, want.P_next),
+                        thompson_metric(got.V, want.V))
+            assert got.theta == pytest.approx(want.theta, rel=1e-9)
+        for kw in ({}, {"stepper": "robust", "tau": 0.5, "c": 0.05}):
+            got = iterate_to_fixed_point(model, model.V0, tol=1e-10, **kw)
+            want = iterate_to_fixed_point(nm, nm.V0, tol=1e-10, **kw)
+            worst = max(worst, thompson_metric(got.P_star, want.P_star),
+                        thompson_metric(got.V_star, want.V_star))
+            assert got.identity_residual <= 1e-8
+    assert worst <= 1e-12
+
+
+def test_information_form_maps_need_uncorrelated_noise(make_model):
+    model = make_model(np.random.default_rng(24), n=2, p=1, correlated=True)
     with pytest.raises(ModelError, match="normalize"):
-        robust_step(model, np.eye(2), 0.1, 0.5)
+        standard_riccati(model, np.eye(2))
+    with pytest.raises(ModelError, match="normalize"):
+        risk_sensitive_map(model, np.eye(2), np.zeros((2, 2)))
 
 
 def test_robust_step_equals_phi_form_at_tau_zero(example_normalized):
@@ -323,18 +351,19 @@ def test_standard_fixed_point_from_huge_start(example_normalized):
     FilterConfig.robust(0.5, 0.1),
     FilterConfig.risk_sensitive(1.0, 1e-3),
 ], ids=lambda config: config.kind)
-def test_fixed_point_is_a_filter_run(example_normalized, config):
-    model = example_normalized
-    report = iterate_to_fixed_point(model, model.V0, config.kind, tau=config.tau, c=config.c,
-                                    theta=config.theta, tol=1e-10)
-    ft = run_filter(model, config, np.zeros((report.iterations, 1)))
-    assert np.array_equal(report.P_star, ft.P_seq[-1])
-    assert np.array_equal(report.V_star, ft.V_seq[-1])
-    assert np.array_equal(report.G_star, gain(model, ft.V_seq[-1]))
-    if config.kind == "standard":
-        assert report.theta_star is None
-    else:
-        assert report.theta_star == ft.theta_seq[-1]
+def test_fixed_point_is_a_filter_run(example_normalized, config, make_model):
+    correlated = make_model(np.random.default_rng(3), 3, 1, True)
+    for model in (example_normalized, correlated):
+        report = iterate_to_fixed_point(model, model.V0, config.kind, tau=config.tau,
+                                        c=config.c, theta=config.theta, tol=1e-10)
+        ft = run_filter(model, config, np.zeros((report.iterations, model.p)))
+        assert np.array_equal(report.P_star, ft.P_seq[-1])
+        assert np.array_equal(report.V_star, ft.V_seq[-1])
+        assert np.array_equal(report.G_star, gain(model, ft.V_seq[-1]))
+        if config.kind == "standard":
+            assert report.theta_star is None
+        else:
+            assert report.theta_star == ft.theta_seq[-1]
 
 
 def test_single_steps_are_kernel_steps(example_normalized):
