@@ -115,7 +115,16 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     T = L_N Z⁻¹ L_Nᵀ, Z = I + H_Nᵀ(D_N D_Nᵀ)⁻¹H_N. Since H_N and L_N have
     zero first block columns, R_N = [B, A L₁] (L₁ the top block row of L_N)
     and W(0) = R_N Z⁻¹ R_Nᵀ = B Bᵀ + A T[:n, :n] Aᵀ is PD exactly when R_N
-    has full row rank. Dense throughout, for N <= ~50 and small n, m, p.
+    has full row rank.
+
+    These quantities read B only through B Bᵀ, so R_N, H_N and L_N are
+    laid out from the r columns of B that are not identically zero (the
+    noise channels of D in an uncorrelated model, the padding of
+    ``normalize`` in a correlated one): A^k times a zero column is
+    exactly zero, and Z is N r × N r rather than N m × N m. T is formed as
+    Yᵀ Y with Y = L_Z⁻¹ L_Nᵀ from Z's Cholesky factor L_Z, so it is
+    exactly symmetric and PSD. Dense throughout, for N <= ~50 and small
+    n, r, p.
 
     Raises
     ------
@@ -139,10 +148,13 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
 
 
 def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
-    n, m, p = model.n, model.m, model.p
-    # impulse responses A^k B and C A^k B for k < N, side by side; H_N H_Nᵀ
-    # and L_N L_Nᵀ sum their squares, so check those before the N² blocks
-    R_N = reachability_matrix(model, N)
+    n, p = model.n, model.p
+    # impulse responses A^k b and C A^k b for k < N and the r nonzero columns
+    # b of B, side by side (a zero column's are exactly zero); H_N H_Nᵀ and
+    # L_N L_Nᵀ sum their squares, so check those before the N² blocks
+    keep = np.any(model.B != 0.0, axis=0)
+    r = int(np.count_nonzero(keep))
+    R_N = reachability_matrix(model, N)[:, np.tile(keep, N)]
     CR_N = model.C @ R_N
     if not np.max(np.abs(CR_N), initial=0.0) < _SQRT_MAX:
         raise NotSPD("block innovation covariance has non-finite entries")
@@ -150,20 +162,22 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         raise NotSPD(f"A^k B overflows when squared at N={N}")
     O_N = observability_matrix(model, N)
     O_N_R = powers_matrix(model, N)
-    H_N = np.zeros((N * p, N * m))
+    H_N = np.zeros((N * p, N * r))
     for i in range(N - 1):
-        H_N[i * p:(i + 1) * p, (i + 1) * m:] = CR_N[:, :(N - 1 - i) * m]
+        H_N[i * p:(i + 1) * p, (i + 1) * r:] = CR_N[:, :(N - 1 - i) * r]
     DD_N = np.kron(np.eye(N), model.D @ model.D.T)
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
     # factored before L_N exists, so a failing build holds less
     G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
-    L_N = np.zeros((N * n, N * m))
+    L_N = np.zeros((N * n, N * r))
     for i in range(N - 1):
-        L_N[i * n:(i + 1) * n, (i + 1) * m:] = R_N[:, :(N - 1 - i) * m]
+        L_N[i * n:(i + 1) * n, (i + 1) * r:] = R_N[:, :(N - 1 - i) * r]
     J_N = O_N_R - L_N @ H_N.T @ G_inv_O
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
-    Z = _linalg.sym(np.eye(N * m) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"))
-    T = _linalg.sym(L_N @ _linalg.solve_spd(Z, L_N.T, "Z"))
+    L_Z = _linalg.cholesky_spd(
+        np.eye(N * r) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
+    Y = np.linalg.solve(L_Z, L_N.T)
+    T = Y.T @ Y  # one symmetric product: exactly symmetric and PSD
     t_max = _linalg.eigvalsh_sym(T)[-1]
     tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
 

@@ -284,10 +284,11 @@ class FixedPointReport:
     """Converged state of a covariance iteration.
 
     ``identity_residual`` is the relative residual of
-    P = (A−GC) V (A−GC)ᵀ + (B−GD)(B−GD)ᵀ at the fixed point, an
+    P = (A−GC) V (A−GC)ᵀ + (B−GD)(B−GD)ᵀ between P_star and the gain G
+    and conditional covariance V of the step that produced it, an
     identity of every model because G S = A V Cᵀ + B Dᵀ, reported as a
-    diagnostic only. ``theta_star`` is None for the
-    standard stepper.
+    diagnostic only. V_star is P_star reweighted and G_star its gain.
+    ``theta_star`` is None for the standard stepper.
     """
 
     P_star: np.ndarray
@@ -477,7 +478,8 @@ def iterate_to_fixed_point(
     dist = float("inf")
     converged = False
     for iterations in range(1, max_iter + 1):
-        _, P_star, V, th = _bank_step(model, (config,), noise, V, th)
+        V_k = V
+        G_k, P_star, V, th = _bank_step(model, (config,), noise, V_k, th)
         if P_prev is not None:
             try:
                 dist = _linalg.thompson_distance(P_prev, P_star)
@@ -489,8 +491,9 @@ def iterate_to_fixed_point(
             break
 
     G_star = gain(model, V)
-    AGC, BGD = model.A - G_star @ model.C, model.B - G_star @ model.D
-    residual = np.linalg.norm(P_star - (AGC @ V @ AGC.T + BGD @ BGD.T))
+    # the identity ties P_star to the (G_k, V_k) of the step that produced it
+    AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D
+    residual = np.linalg.norm(P_star - (AGC @ V_k @ AGC.T + BGD @ BGD.T))
     report = FixedPointReport(
         P_star=P_star,
         V_star=V,
@@ -498,7 +501,7 @@ def iterate_to_fixed_point(
         G_star=G_star,
         iterations=iterations,
         final_step_distance=dist,
-        spectral_radius_closed_loop=_linalg.spectral_radius(AGC),
+        spectral_radius_closed_loop=_linalg.spectral_radius(model.A - G_star @ model.C),
         identity_residual=float(residual / max(1.0, np.linalg.norm(P_star))),
     )
     if not converged:

@@ -219,6 +219,10 @@ def test_build_downsampled_matches_powers_reference():
         ds = build_downsampled(model, N)
         ref = _lifted_reference(model, N)
         assert _rel(ds.T, ref.T) <= 1e-10 if ref.T.any() else not ds.T.any()
+        # T = Yᵀ Y is symmetric bit for bit and PSD by construction
+        assert np.array_equal(ds.T, ds.T.T)
+        t = np.linalg.eigvalsh(ds.T)
+        assert t[0] >= -1e-14 * t[-1]
         assert _rel(ds.J_N, ref.J) <= 1e-10
         assert _rel(ds.Omega_N, ref.Omega) <= 1e-10
         if np.isfinite(ref.tilde_phi):
@@ -233,6 +237,50 @@ def test_build_downsampled_matches_powers_reference():
             with pytest.raises(SearchFailed):
                 find_phi_N(ds)
     assert phis >= 20
+
+
+def test_build_downsampled_drops_interleaved_zero_columns():
+    # B = [b₁, 0, b₂, 0, 0] with D on B's zero channels only; the build
+    # reads B through B Bᵀ, so it matches the model that holds b₁, b₂ in
+    # two leading columns and D's channels after them, and the full-width
+    # reference built from all five columns
+    rng = np.random.default_rng(5)
+    n, p, N = 3, 2, 8
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    b, d, C = rng.normal(size=(n, 2)), rng.normal(size=(p, 3)), rng.normal(size=(p, n))
+    Z_n, Z_p = np.zeros((n, 1)), np.zeros((p, 1))
+    interleaved = normalize(StateSpaceModel(
+        A=A, B=np.hstack([b[:, :1], Z_n, b[:, 1:], Z_n, Z_n]),
+        C=C, D=np.hstack([Z_p, d[:, :1], Z_p, d[:, 1:]]),
+        x0_mean=np.zeros(n), V0=np.eye(n)))
+    compact = normalize(StateSpaceModel(
+        A=A, B=np.hstack([b, np.zeros((n, 3))]), C=C, D=np.hstack([np.zeros((p, 2)), d]),
+        x0_mean=np.zeros(n), V0=np.eye(n)))
+    got, want = build_downsampled(interleaved, N), build_downsampled(compact, N)
+    ref = _lifted_reference(interleaved, N)
+    for T, J, Omega in ((want.T, want.J_N, want.Omega_N), (ref.T, ref.J, ref.Omega)):
+        assert _rel(got.T, T) <= 1e-13
+        assert _rel(got.J_N, J) <= 1e-13
+        assert _rel(got.Omega_N, Omega) <= 1e-13
+    assert got.tilde_phi_N == pytest.approx(want.tilde_phi_N, rel=1e-13)
+    assert got.tilde_phi_N == pytest.approx(ref.tilde_phi, rel=1e-13)
+    assert find_phi_N(got) == pytest.approx(find_phi_N(want), rel=1e-13)
+    assert find_phi_N(got) == pytest.approx(ref.phi, rel=1e-13)
+
+
+def test_build_downsampled_factors_z_on_the_nonzero_columns(example_normalized, monkeypatch):
+    # the example's B = [I, 0]: Z is N·2 square, not N·3
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M, *args, **kwargs):
+        sizes.append(M.shape[-1])
+        return cholesky(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    build_downsampled(example_normalized, 50)
+    assert max(sizes) == 100
 
 
 def test_build_downsampled_rejects_bad_n(example_normalized):

@@ -236,6 +236,14 @@ def test_standard_fixed_point_matches_burn_in(example_normalized):
     np.testing.assert_allclose(report.V_star, report.P_star, atol=1e-12)
 
 
+def test_identity_residual_reads_the_step_that_produced_p_star(make_model):
+    # P_star comes from the (G, V) before the last step, not from V_star
+    model = make_model(np.random.default_rng(2), 4, 1, True)
+    report = iterate_to_fixed_point(model, np.eye(4), tol=1e-10)
+    assert report.identity_residual <= 1e-14
+    np.testing.assert_array_equal(report.G_star, gain(model, report.V_star))
+
+
 def test_robust_fixed_point_converges_quickly(example_normalized):
     report = iterate_to_fixed_point(
         example_normalized, np.eye(2), "robust", tau=0.0, c=0.122, tol=1e-9)
