@@ -149,9 +149,8 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
 
 def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     n, p = model.n, model.p
-    # impulse responses A^k b and C A^k b for k < N and the r nonzero columns
-    # b of B, side by side (a zero column's are exactly zero); H_N H_Nᵀ and
-    # L_N L_Nᵀ sum their squares, so check those before the N² blocks
+    # impulse responses A^k B and C A^k B for k < N on B's r nonzero columns, side
+    # by side; H_N H_Nᵀ and L_N L_Nᵀ sum their squares, so check those before the N² blocks
     keep = np.any(model.B != 0.0, axis=0)
     r = int(np.count_nonzero(keep))
     R_N = reachability_matrix(model, N)[:, np.tile(keep, N)]

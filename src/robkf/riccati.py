@@ -491,7 +491,6 @@ def iterate_to_fixed_point(
             break
 
     G_star = gain(model, V)
-    # the identity ties P_star to the (G_k, V_k) of the step that produced it
     AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D
     residual = np.linalg.norm(P_star - (AGC @ V_k @ AGC.T + BGD @ BGD.T))
     report = FixedPointReport(
