@@ -62,7 +62,6 @@ from robkf.model import (
     powers_matrix,
     reachability_matrix,
     simulate,
-    validate,
 )
 from robkf.riccati import (
     FixedPointReport,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "StateSpaceModel", "NormalizedModel", "Trajectory", "validate", "normalize",
+    "StateSpaceModel", "NormalizedModel", "Trajectory", "normalize",
     "simulate", "load_model", "reachability_matrix", "observability_matrix",
     "powers_matrix",
     # divergence

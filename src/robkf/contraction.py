@@ -130,10 +130,13 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     ------
     NotObservable, NotReachable
         If Omega_N or the zero-reweighting W fail positive definiteness
-        although N >= n; for N < n ``find_phi_N`` rejects such a system.
+        although N >= n, and O_N (resp. R_N) has rank below n by its
+        singular values; for N < n ``find_phi_N`` rejects such a system.
     NotSPD
         If the impulse responses overflow when squared, checked before
-        the N² blocks are laid out, or a block covariance fails to factor.
+        the N² blocks are laid out, or a block covariance fails to factor,
+        or Omega_N or W fail to factor at N >= n although O_N and R_N have
+        full rank: they are then PD in exact arithmetic but not numerically.
     """
     if not isinstance(model, NormalizedModel):
         model = normalize(model)
@@ -180,12 +183,20 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     t_max = _linalg.eigvalsh_sym(T)[-1]
     tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
 
+    # a failed factor at N >= n is a model error only when the rank is short too
     if not _linalg.is_spd(Omega_N):
-        if N >= n:
+        if N < n:
+            log.info("Omega_N singular at N=%d < n=%d", N, n)
+        elif _linalg.rank_from_singular_values(O_N) < n:
             raise NotObservable(f"Omega_N is not positive definite at N={N} >= n={n}")
-        log.info("Omega_N singular at N=%d < n=%d", N, n)
+        else:
+            raise NotSPD(f"Omega_N is not numerically positive definite at N={N}, "
+                         f"although O_N has rank n={n}")
     if N >= n and not _linalg.is_spd(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T):
-        raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
+        if _linalg.rank_from_singular_values(R_N) < n:
+            raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
+        raise NotSPD(f"zero-reweighting W is not numerically positive definite at N={N}, "
+                     f"although R_N has rank n={n}")
     return DownsampledSystem(model=model, N=N, J_N=J_N, Omega_N=Omega_N, T=T,
                              tilde_phi_N=tilde_phi_N)
 
@@ -252,15 +263,17 @@ def find_phi_N(ds: DownsampledSystem) -> float:
     ⪰ T, it also lies at least that far below tilde_phi_N = 1/lam_max(T),
     where the map's domain ends.
 
-    At N >= n the build has required both to be PD. Below n the rank comes
-    from R_N's singular values: a Cholesky of the formed W(0) can pass on a
-    rank-deficient R_N through rounding.
+    At N >= n the build has required both to be PD (it raises
+    NotObservable, NotReachable or NotSPD otherwise). Below n the rank
+    comes from R_N's singular values: a Cholesky of the formed W(0) can
+    pass on a rank-deficient R_N through rounding.
 
     Raises
     ------
     SearchFailed
         If Omega_N is not PD or R_N lacks full row rank, so that no
-        positive phi is feasible (possible only for N < n).
+        positive phi is feasible (possible only for N < n; at N >= n
+        ``build_downsampled`` raises instead).
     """
     n = ds.model.n
     if ds.N < n and _linalg.rank_from_singular_values(reachability_matrix(ds.model, ds.N)) < n:

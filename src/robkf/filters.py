@@ -14,10 +14,11 @@ re-exports ``FilterConfig``. ``compare_filters`` runs its configs as one
 filter bank and ``run_filter`` is the bank of one. The covariance side
 reads no observation, so the bank takes it whole from
 ``riccati._covariance_sequence``, which steps all configs together, one
-``riccati._bank_step`` per step, and runs only the state updates, in the closed-loop form
-xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-G_k y_k formed in one batch and one stacked product per step. A run in
-a bank equals the run of its config alone bit for bit.
+``riccati._bank_step`` per step, until every run has repeated and then
+copies each run's cycle. The bank runs only the state updates, in the
+closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
+A - G_k C and G_k y_k formed in one batch and one stacked product per
+step. A run in a bank equals the run of its config alone bit for bit.
 """
 from __future__ import annotations
 

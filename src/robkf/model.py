@@ -35,7 +35,6 @@ __all__ = [
     "StateSpaceModel",
     "NormalizedModel",
     "Trajectory",
-    "validate",
     "normalize",
     "reachability_matrix",
     "observability_matrix",
@@ -189,11 +188,6 @@ class Trajectory:
     def __post_init__(self):
         if len(self.states) != len(self.observations):
             raise DimensionMismatch("states and observations must have equal length")
-
-
-def validate(A, B, C, D, x0_mean, V0) -> StateSpaceModel:
-    """Build a model from raw arrays, checking every structural invariant."""
-    return StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=x0_mean, V0=V0)
 
 
 def _block_sequence(X: np.ndarray, step, N: int) -> list:

@@ -15,10 +15,11 @@ and one batched eigendecomposition; the theta solves and f(w) run row by
 row. A bank of one steps the bare n×n matrices through ``_reweight``.
 Each caller loops over it: ``filters.run_filter`` and
 ``filters.compare_filters`` (through ``_covariance_sequence``, which
-retires each row at its first exact repeat of (V, theta) and copies its
-cycle), ``iterate_to_fixed_point`` and the single-step recursions, so a
-fixed point, a single step, a filter run and a run in a bank are the
-same arithmetic, and take a correlated model (B Dᵀ ≠ 0) as given.
+steps the bank until every row has repeated its (V, theta) exactly, then
+copies each row's cycle), ``iterate_to_fixed_point`` and the single-step
+recursions, so a fixed point, a single step, a filter run and a run in a
+bank are the same arithmetic, and take a correlated model (B Dᵀ ≠ 0) as
+given.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them, and only they need B Dᵀ = 0.
@@ -201,12 +202,14 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     run maps (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) and
     reads nothing else, so once (V_{j+p}, theta_{j+p}) equals an earlier
     (V_j, theta_j) byte for byte, every row of the run from step j on
-    repeats with period p. A run leaves the bank at that first exact
-    repeat and its cycle is copied forward; its cycle is (j, p), or None
-    if no state repeats within T steps. theta_0 is the risk-sensitive
-    kind's fixed theta and 0 otherwise, so the robust kind's cold first
-    step never counts as a repeat. Every run computes the same steps,
-    bit for bit, as it would alone.
+    repeats with period p, and its cycle is (j, p); it is None if no
+    state repeats within T steps. The whole bank steps until every run
+    has repeated or T steps are done; a run stepped past its repeat
+    recomputes its own cycle bit for bit. The cycles are then copied
+    over the remaining steps. theta_0 is the risk-sensitive kind's fixed
+    theta and 0 otherwise, so the robust kind's cold first step never
+    counts as a repeat. Every run computes the same steps, bit for bit,
+    as it would alone.
     """
     K, n, p = len(configs), model.n, model.p
     gains = np.zeros((T, K, n, p))
@@ -220,45 +223,31 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     seen = [{(model.V0.tobytes(), theta): 0} for theta in thetas]
     size = model.V0.nbytes
     noise = model.noise_covariances()
-    # The runs still in the bank, their configs and their columns: all of them, then lists.
-    live, bank, cols = list(range(K)), configs, slice(None)
+    V = _linalg.sym(np.broadcast_to(model.V0, (K, n, n)))
     if K == 1:
-        V, thetas = _linalg.sym(model.V0), thetas[0]
-    else:
-        V = _linalg.sym(np.broadcast_to(model.V0, (K, n, n)))
-    for k in range(T):
-        G, P, V, thetas = _bank_step(model, bank, noise, V, thetas)
-        gains[k, cols] = G
-        P_seq[k, cols] = P
-        V_seq[k + 1, cols] = V
-        theta_seq[k, cols] = thetas
-        data = V.tobytes()
-        if K == 1:
-            firsts = [seen[0].setdefault((data, thetas), k + 1)]
-        else:
-            firsts = [seen[i].setdefault((data[pos * size:(pos + 1) * size], theta), k + 1)
-                      for pos, (i, theta) in enumerate(zip(live, thetas))]
-        if min(firsts) > k:
+        V, thetas = V[0], thetas[0]
+    k = 0
+    while k < T and None in cycles:
+        G, P, V, thetas = _bank_step(model, configs, noise, V, thetas)
+        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k] = G, P, V, thetas
+        k += 1
+        data = V_seq[k].tobytes()
+        for i, theta in enumerate(theta_seq[k - 1].tolist()):
+            j = seen[i].setdefault((data[i * size:(i + 1) * size], theta), k)
+            if cycles[i] is None and j < k:
+                cycles[i] = (j, k - j)
+    for i, cycle in enumerate(cycles):
+        if cycle is None:
             continue
-        for i, j in zip(live, firsts):
-            if j > k:
-                continue
-            period = k + 1 - j
-            log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
-                      "(period %d); copying the last %d of %d steps", configs[i].kind,
-                      k + 1, j, period, T - k - 1, T)
-            replay = j + np.arange(T - k - 1) % period
-            gains[k + 1:, i] = gains[replay, i]
-            P_seq[k + 1:, i] = P_seq[replay, i]
-            V_seq[k + 2:, i] = V_seq[replay + 1, i]
-            theta_seq[k + 1:, i] = theta_seq[replay, i]
-            cycles[i] = (j, period)
-        keep = [pos for pos, j in enumerate(firsts) if j > k]
-        if not keep:
-            break
-        live = cols = [live[pos] for pos in keep]
-        bank = [bank[pos] for pos in keep]
-        V, thetas = V[keep], [thetas[pos] for pos in keep]
+        j, period = cycle
+        log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
+                  "(period %d); copying the last %d of %d steps", configs[i].kind,
+                  j + period, j, period, T - k, T)
+        replay = j + (np.arange(k, T) - j) % period
+        gains[k:, i] = gains[replay, i]
+        P_seq[k:, i] = P_seq[replay, i]
+        V_seq[k + 1:, i] = V_seq[replay + 1, i]
+        theta_seq[k:, i] = theta_seq[replay, i]
     return gains, P_seq, V_seq, theta_seq, cycles
 
 

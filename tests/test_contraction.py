@@ -316,6 +316,14 @@ def test_build_downsampled_unobservable_pair():
         build_downsampled(model, 2)
 
 
+def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error():
+    # O_N has full rank 30 (singular value ratio ~4e-9), but Omega_N =
+    # O_Nᵀ G_N⁻¹ O_N squares that condition past what a Cholesky resolves
+    model = random_model(np.random.default_rng(30), 30, 2)
+    with pytest.raises(NotSPD, match="not numerically positive definite"):
+        certify(model, 0.5)
+
+
 def test_build_downsampled_unreachable_pair():
     model = NormalizedModel(
         A=np.diag([0.5, 0.6]), B=[[1.0, 0.0], [0.0, 0.0]],

@@ -538,6 +538,32 @@ def test_all_reweighted_bank_equals_single_runs_bit_for_bit(example_model, model
     _assert_bank_matches_at_every_length(model, _panel(model)[1:])
 
 
+def test_bank_steps_runs_past_their_repeats_bit_for_bit():
+    # the standard run cycles early; the tiny- and small-radius robust runs do
+    # not repeat within 1000 steps, so the bank keeps stepping the standard run
+    # long after its repeat
+    model = random_model(np.random.default_rng(6), n=4)
+    configs = [FilterConfig.standard(), FilterConfig.robust(0.5, 1e-9),
+               *(FilterConfig.robust(tau, 1e-3) for tau in (0.0, 1.0, 0.5))]
+    table = _assert_bank_matches_single_runs(model, configs, 1000)
+    assert table.runs[0].cycle == (73, 2)
+    assert all(run.cycle is None for run in table.runs[1:])
+
+
+def test_bank_stops_once_every_run_has_repeated(example_model, monkeypatch):
+    calls = []
+    bank_step = riccati._bank_step
+
+    def counted(*args):
+        calls.append(1)
+        return bank_step(*args)
+
+    monkeypatch.setattr(riccati, "_bank_step", counted)
+    # the CLI's default panel: standard, then robust at c_max for tau 0, 0.5, 1
+    table = compare_filters(example_model, _panel(example_model)[:4], 1000, seed=8)
+    assert len(calls) == max(sum(run.cycle) for run in table.runs)
+
+
 def test_bank_raises_for_an_out_of_domain_row(example_model):
     configs = [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1),
                FilterConfig.risk_sensitive(0.5, 0.5)]

@@ -21,7 +21,6 @@ from robkf import (
     powers_matrix,
     reachability_matrix,
     simulate,
-    validate,
 )
 
 from conftest import example_matrices, random_model
@@ -29,13 +28,6 @@ from conftest import example_matrices, random_model
 
 def test_example_model_dimensions(example_model):
     assert (example_model.n, example_model.p, example_model.m) == (2, 1, 3)
-
-
-def test_validate_returns_model():
-    A, B, C, D = example_matrices()
-    m = validate(A, B, C, D, np.zeros(2), np.eye(2))
-    assert isinstance(m, StateSpaceModel)
-    np.testing.assert_array_equal(m.A, A)
 
 
 def test_row_mismatch_rejected():
