@@ -124,7 +124,8 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     exactly zero, and Z is N r × N r rather than N m × N m. T is formed as
     Yᵀ Y with Y = L_Z⁻¹ L_Nᵀ from Z's Cholesky factor L_Z, so it is
     exactly symmetric and PSD. Dense throughout, for N <= ~50 and small
-    n, r, p.
+    n, r, p. Omega_N is tested right after G_N's factor, before L_N, Z
+    and T exist, so its failure is cheap and comes before Z's.
 
     Raises
     ------
@@ -163,26 +164,13 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     if not np.max(np.abs(R_N), initial=0.0) < _SQRT_MAX:
         raise NotSPD(f"A^k B overflows when squared at N={N}")
     O_N = observability_matrix(model, N)
-    O_N_R = powers_matrix(model, N)
     H_N = np.zeros((N * p, N * r))
     for i in range(N - 1):
         H_N[i * p:(i + 1) * p, (i + 1) * r:] = CR_N[:, :(N - 1 - i) * r]
     DD_N = np.kron(np.eye(N), model.D @ model.D.T)
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
-    # factored before L_N exists, so a failing build holds less
     G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
-    L_N = np.zeros((N * n, N * r))
-    for i in range(N - 1):
-        L_N[i * n:(i + 1) * n, (i + 1) * r:] = R_N[:, :(N - 1 - i) * r]
-    J_N = O_N_R - L_N @ H_N.T @ G_inv_O
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
-    L_Z = _linalg.cholesky_spd(
-        np.eye(N * r) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
-    Y = np.linalg.solve(L_Z, L_N.T)
-    T = Y.T @ Y  # one symmetric product: exactly symmetric and PSD
-    t_max = _linalg.eigvalsh_sym(T)[-1]
-    tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
-
     # a failed factor at N >= n is a model error only when the rank is short too
     if not _linalg.is_spd(Omega_N):
         if N < n:
@@ -192,6 +180,16 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         else:
             raise NotSPD(f"Omega_N is not numerically positive definite at N={N}, "
                          f"although O_N has rank n={n}")
+    L_N = np.zeros((N * n, N * r))
+    for i in range(N - 1):
+        L_N[i * n:(i + 1) * n, (i + 1) * r:] = R_N[:, :(N - 1 - i) * r]
+    J_N = powers_matrix(model, N) - L_N @ H_N.T @ G_inv_O
+    L_Z = _linalg.cholesky_spd(
+        np.eye(N * r) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
+    Y = np.linalg.solve(L_Z, L_N.T)
+    T = Y.T @ Y  # one symmetric product: exactly symmetric and PSD
+    t_max = _linalg.eigvalsh_sym(T)[-1]
+    tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
     if N >= n and not _linalg.is_spd(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T):
         if _linalg.rank_from_singular_values(R_N) < n:
             raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")

@@ -9,10 +9,11 @@ prediction covariance P_k: the standard filter uses V_k = P_k, the
 robust filter re-solves theta_k from a fixed divergence budget c at
 every step, and the risk-sensitive filter applies one fixed theta
 throughout. ``FilterConfig`` and that reweighting step live in the
-riccati module, which the fixed-point iteration shares; this module
-re-exports ``FilterConfig``. ``compare_filters`` runs its configs as one
-filter bank and ``run_filter`` is the bank of one. The covariance side
-reads no observation, so the bank takes it whole from
+riccati module, which the fixed-point iteration shares; ``FilterConfig``
+is exported by ``robkf.riccati`` and ``robkf``, not by this module.
+``compare_filters`` runs its configs as one filter bank and
+``run_filter`` is the bank of one. The covariance side reads no
+observation, so the bank takes it whole from
 ``riccati._covariance_sequence``, which steps all configs together, one
 ``riccati._bank_step`` per step, until every run has repeated and then
 copies each run's cycle. The bank runs only the state updates, in the
@@ -35,7 +36,6 @@ from robkf.model import StateSpaceModel, Trajectory, simulate
 from robkf.riccati import FilterConfig, _covariance_sequence
 
 __all__ = [
-    "FilterConfig",
     "FilterTrajectory",
     "ComparisonTable",
     "run_filter",

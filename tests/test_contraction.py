@@ -25,6 +25,7 @@ from robkf import (
     downsampled_map,
     find_phi_N,
     gamma,
+    iterate_to_fixed_point,
     normalize,
     phi_gap,
     predict_covariance,
@@ -316,12 +317,23 @@ def test_build_downsampled_unobservable_pair():
         build_downsampled(model, 2)
 
 
-def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error():
+def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error(monkeypatch):
     # O_N has full rank 30 (singular value ratio ~4e-9), but Omega_N =
-    # O_Nᵀ G_N⁻¹ O_N squares that condition past what a Cholesky resolves
+    # O_Nᵀ G_N⁻¹ O_N squares that condition past what a Cholesky resolves.
+    # It is tested right after G_N's factor (N·p = 100 wide), before the
+    # 1500-wide Z of B's 30 nonzero columns is formed
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M, *args, **kwargs):
+        sizes.append(M.shape[-1])
+        return cholesky(M, *args, **kwargs)
+
     model = random_model(np.random.default_rng(30), 30, 2)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
     with pytest.raises(NotSPD, match="not numerically positive definite"):
         certify(model, 0.5)
+    assert max(sizes) == 50 * 2
 
 
 def test_build_downsampled_unreachable_pair():
@@ -634,6 +646,30 @@ def test_certify_budget_stays_finite_at_tau_one_on_the_jordan_model():
     cert = certify(precise_sensor_jordan_model(), 1.0)
     assert cert.c_max == gamma(cert.P_bar_q, cert.theta_bar, 1.0)
     assert cert.c_max == pytest.approx(1449.3466445869747, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, correlated", [
+    *((n, False) for n in (2, 3, 4, 6, 8)),
+    (2, True), (3, True), (6, True), (8, True),
+    # normalized rho(A) 3.03: G_N fails to factor for every N >= 20; the
+    # lifted build from the smoothing factor F_N would certify it
+    pytest.param(4, True, marks=pytest.mark.xfail(
+        raises=NotSPD, strict=True, reason="G_N factorization fails; ROADMAP direction 1")),
+])
+def test_certified_budgets_give_one_stable_fixed_point(n, correlated):
+    # beyond criterion 3: at c_max and c_max/10 (1 and 0.1 where c_max is
+    # inf), robust fixed points from V0, 1e-3 I and 1e3 I agree, and the
+    # closed loop is stable
+    model = random_model(np.random.default_rng(100 + n), n, correlated=correlated)
+    for tau in (0.0, 0.5, 1.0):
+        c_max = certify(model, tau).c_max
+        top = c_max if math.isfinite(c_max) else 1.0
+        for c in (top, top / 10.0):
+            fps = [iterate_to_fixed_point(model, start, "robust", tau=tau, c=c, tol=1e-11)
+                   for start in (model.V0, 1e-3 * np.eye(n), 1e3 * np.eye(n))]
+            for fp in fps[1:]:
+                assert thompson_metric(fps[0].P_star, fp.P_star) <= 1e-9
+            assert max(fp.spectral_radius_closed_loop for fp in fps) < 1.0
 
 
 def test_certify_risk_sensitive(example_model):

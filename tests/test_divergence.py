@@ -249,9 +249,24 @@ def test_divergence_centres_a_ratio_whose_ends_leave_the_double_range_apart(tau)
         want = float(sum(_g_and_slope_mp(mpmath.log(mpmath.mpf(q) / mpmath.mpf(1e100)), tau)[0]
                          for q in (1e-300, 1e110)))
     assert tau_divergence(f_tilde, f, tau) == pytest.approx(want, rel=1e-13, abs=0.0)
-    # lam = 1e-500 and 1e410: no one scale holds both
-    with pytest.raises(DomainViolation, match="spans more than the double range"):
-        tau_divergence(f_tilde, GaussianDensity(np.zeros(2), np.diag([1e200, 1e-300])), tau)
+    # lam = 1e-500 and 1e410: the singular values 1e-227.5 and 1e227.5 of the
+    # whitened factor hold both, and the 1e410 term overflows g
+    wide = GaussianDensity(np.zeros(2), np.diag([1e200, 1e-300]))
+    assert tau_divergence(f_tilde, wide, tau) == math.inf
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_divergence_of_a_rotated_pencil_whose_diagonal_ratios_miss_its_extremes(tau):
+    # R diag(1e-200, 1e200) Rᵀ for the rotation by 0.85 rad, as rounded: its
+    # exact eigenvalues are 1.96e183 and 1e200, so against 1e-160 I lam ≈ 2e343
+    # and 1e360 while both Q_ii/P_ii are near 1e359.6. Eigenvalues of the
+    # whitened Q lose the small lam to 0; the singular values of L_P⁻¹ L_Q keep
+    # it positive, and both terms overflow g
+    q11, q12, q22 = (float.fromhex(x) for x in (
+        "0x1.7988e7296786cp+663", "-0x1.4ba7ea06bd25dp+663", "0x1.235a33d184c48p+663"))
+    f_tilde = GaussianDensity(np.zeros(2), np.array([[q11, q12], [q12, q22]]))
+    f = GaussianDensity(np.zeros(2), 1e-160 * np.eye(2))
+    assert tau_divergence(f_tilde, f, tau) == math.inf
 
 
 def test_gamma_domain_violation():
