@@ -37,8 +37,11 @@ _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or each matrix of a stack, suppressing
-    floating-point asymmetry drift."""
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    floating-point asymmetry drift. Halving before the sum keeps entries
+    near the largest double finite; the halves are a second temporary,
+    which numpy cannot fold into the sum as it folded the halving."""
+    h = 0.5 * M
+    return h + h.swapaxes(-1, -2)
 
 
 def finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:

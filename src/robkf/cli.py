@@ -15,28 +15,36 @@ come from numpy.random.default_rng(seed) (PCG64) via standard_normal,
 for the initial state x0 = x0_mean + chol(V0) z and the per-step noise
 v_k alike. Numbers are written in shortest round-trip decimal form, so
 re-reading a CSV reproduces the doubles exactly. Each trajectory's
-columns are gathered into one array and formatted row by row from it;
+xhat columns are formatted for every row; its P, V and theta columns are
+formatted up to the end of the first period of its ``cycle``, and later
+rows reuse those strings, as the filter bank replays the arrays.
 ``compare`` runs its panel as one filter bank, and its default panel
-certifies the model once for all three tau.
+certifies the model once for all three tau. A failed write of the output
+file or stream is an ``OutputError`` (exit 1).
+
+``python -m robkf.cli`` and the ``robkf`` script start at ``entry``,
+which freezes the import-time heap before it runs ``main``; ``main``
+itself changes nothing process-wide.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from robkf.contraction import _certify_each, certify, thompson_metric
-from robkf.errors import ConfigError, ModelError, ModelIOError, NumericError, RobkfError
+from robkf.errors import (ConfigError, ModelError, ModelIOError, NumericError, OutputError,
+                          RobkfError)
 from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
 from robkf.model import _read_json, load_model, simulate
 
-__all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main"]
+__all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main", "entry"]
 
 log = logging.getLogger("robkf.cli")  # also when run as ``python -m robkf.cli``
 
@@ -60,17 +68,28 @@ def _upper_tri_names(name: str, n: int) -> list:
     return [f"{name}_{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-def _emit_csv(header: list, blocks: list, output_path: Optional[str]) -> None:
-    """Write the header, then row k = 1 .. T of the trajectory blocks side by
-    side, each number in shortest round-trip form."""
-    rows = np.hstack(blocks).tolist()
-    text = "".join([",".join(header) + "\n"]
-                   + [f"{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows, 1)])
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", newline="") as fh:
-            fh.write(text)
+def _write(text: str, output_path: Optional[str]) -> None:
+    """Write a command's output to the file, or to stdout and flush it,
+    so that a failed write is an ``OutputError`` inside the command."""
+    try:
+        if output_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output_path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        target = "stdout" if output_path is None else output_path
+        raise OutputError(f"cannot write {target}: {exc.strerror or exc}") from None
+
+
+def _emit_csv(header: list, runs: list, output_path: Optional[str]) -> None:
+    """Write the header, then row k = 1 .. T of the trajectories' columns
+    side by side, each number in shortest round-trip form."""
+    columns = [_trajectory_rows(ft) for ft in runs]
+    _write("".join([",".join(header) + "\n"]
+                   + [f"{k}," + ",".join(parts) + "\n" for k, parts in enumerate(zip(*columns), 1)]),
+           output_path)
 
 
 def _trajectory_columns(prefix: str, n: int) -> list:
@@ -86,14 +105,26 @@ def _trajectory_block(ft) -> np.ndarray:
                       ft.theta_seq[:, None]])
 
 
+def _trajectory_rows(ft) -> list:
+    """The formatted rows of ``_trajectory_block(ft)``. Once (V, theta)_{j+p}
+    repeats (V, theta)_j, row k > j + p holds the bits of row k - p in
+    every column but xhat, so those columns are formatted for rows
+    1 .. j + p only and reused after."""
+    block = _trajectory_block(ft)
+    n, T = ft.estimates.shape[1], len(block)
+    stop = T if ft.cycle is None else min(T, sum(ft.cycle))
+    xhat = [",".join(map(repr, row)) for row in block[:, :n].tolist()]
+    rest = [",".join(map(repr, row)) for row in block[:stop, n:].tolist()]
+    if stop < T:
+        j, period = ft.cycle
+        rest += [rest[j + (k - j) % period] for k in range(stop, T)]
+    return [f"{x},{r}" for x, r in zip(xhat, rest)]
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     cert = certify(model, tau=args.tau, q=args.q, N=args.N, mode=args.mode)
-    text = json.dumps(cert.as_dict(), indent=2)
-    if args.out is None:
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n")
+    _write(json.dumps(cert.as_dict(), indent=2) + "\n", args.out)
     return 0
 
 
@@ -113,7 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         y = simulate(model, args.steps, seed).observations
 
     ft = run_filter(model, config, y)
-    _emit_csv(["k"] + _trajectory_columns("", model.n), [_trajectory_block(ft)], args.out)
+    _emit_csv(["k"] + _trajectory_columns("", model.n), [ft], args.out)
     return 0
 
 
@@ -155,7 +186,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     header = ["k"]
     for label in table.labels:
         header += _trajectory_columns(f"{label}_", model.n)
-    _emit_csv(header, [_trajectory_block(ft) for ft in table.runs], args.out)
+    _emit_csv(header, table.runs, args.out)
     if log.isEnabledFor(logging.INFO):
         for label in table.labels:
             log.info("rmse %s = %s", label, _fmt(table.rmse(label)))
@@ -176,7 +207,7 @@ def _load_matrix(path: str) -> np.ndarray:
 def cmd_metric(P_file: str, Q_file: str) -> int:
     P = _load_matrix(P_file)
     Q = _load_matrix(Q_file)
-    print(_fmt(thompson_metric(P, Q)))
+    _write(_fmt(thompson_metric(P, Q)) + "\n", None)
     return 0
 
 
@@ -290,5 +321,14 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         return 2 if isinstance(exc, ModelError) else 3 if isinstance(exc, NumericError) else 1
 
 
+def entry() -> int:
+    """The process entry of ``python -m robkf.cli`` and the ``robkf``
+    script: freeze the objects made by the imports, so that no full
+    collection, the one at interpreter exit included, walks them, then
+    run ``main``."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

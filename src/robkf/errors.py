@@ -2,7 +2,8 @@
 
 Two broad families: structural problems with a model or its serialized
 form (``ModelError``) and failures of the numerical machinery
-(``NumericError``). The CLI maps these to exit codes 2 and 3.
+(``NumericError``). The CLI maps these to exit codes 2 and 3, and
+every other ``RobkfError`` to exit code 1.
 """
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "NotObservable",
     "ModelIOError",
     "ConfigError",
+    "OutputError",
     "NumericError",
     "NotSPD",
     "NotOrdered",
@@ -61,6 +63,10 @@ class ModelIOError(ModelError):
 
 class ConfigError(RobkfError):
     """A filter configuration mixes fields that do not belong together."""
+
+
+class OutputError(RobkfError):
+    """An output file or stream could not be written."""
 
 
 class NumericError(RobkfError):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import logging
@@ -173,7 +174,7 @@ def test_metric_shape_mismatch_exits_2(tmp_path, capsys):
     assert captured.err == "error: shape mismatch (2, 2) vs (3, 3)\n"
 
 
-def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
+def _unstable_model_file(tmp_path):
     # With A's second mode at 100 the N = 100 lifted build overflows to
     # inf, as the README example's does at N = 2000 (which takes seconds).
     A, B, C, D = example_matrices()
@@ -184,7 +185,12 @@ def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
         "A": A.tolist(), "B": np.asarray(B).tolist(), "C": np.asarray(C).tolist(),
         "D": np.asarray(D).tolist(), "x0_mean": [0.0, 0.0], "V0": np.eye(2).tolist(),
     }))
-    rc = main(["certify", "--model", str(path), "--tau", "0.5", "--N", "100"])
+    return str(path)
+
+
+def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
+    path = _unstable_model_file(tmp_path)
+    rc = main(["certify", "--model", path, "--tau", "0.5", "--N", "100"])
     assert rc == 3
     assert capsys.readouterr().err.strip() == (
         "error: block innovation covariance has non-finite entries")
@@ -502,10 +508,121 @@ def test_csv_writes_extreme_values_in_round_trip_form(capsys):
         cycle=None,
     )
     header = ["k"] + cli._trajectory_columns("a_", n) + cli._trajectory_columns("b_", n)
-    cli._emit_csv(header, [cli._trajectory_block(ft), cli._trajectory_block(ft)], None)
+    cli._emit_csv(header, [ft, ft], None)
     out = capsys.readouterr().out
     assert out == _reference_csv(header, [ft, ft], steps)
     assert "-0.0," in out and "5e-324" in out and "1e+300" in out
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == np.hstack(
         [cli._trajectory_block(ft)] * 2).tobytes()
+
+
+def _python_m(argv, **kw):
+    """``python -m robkf.cli argv`` with robkf from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(robkf.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "robkf.cli", *argv], env=env, **kw)
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+def test_write_to_a_missing_directory_exits_1(model_file, tmp_path, capsys, command):
+    extra = {"certify": ["--tau", "0.5"], "run": ["--kind", "standard", "--steps", "5"],
+             "compare": ["--steps", "5"]}[command]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--model", model_file, "--out", str(out)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["certify", "--tau", "0.5"],
+                                  ["compare", "--filter", "standard", "--steps", "1000"]])
+def test_write_to_a_full_stdout_exits_1(model_file, argv):
+    with open("/dev/full", "w") as full:
+        done = _python_m([argv[0], "--model", model_file, *argv[1:]], stdout=full,
+                         stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_main_freezes_nothing(model_file, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["certify", "--model", model_file, "--tau", "0.5"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_import_heap(tmp_path):
+    eye = matrix_file(tmp_path, "I.json", np.eye(2))
+    code = ("import gc, sys; from robkf.cli import entry; "
+            f"sys.argv[1:] = ['metric', {eye!r}, {eye!r}]; "
+            "assert gc.get_freeze_count() == 0; rc = entry(); "
+            "print(rc, gc.get_freeze_count() > 1000)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(robkf.__file__).parents[1])})
+    assert done.stdout == "0.0\n0 True\n"
+
+
+def test_python_m_exit_codes(model_file, tmp_path):
+    unstable = _unstable_model_file(tmp_path)
+    cases = [(["certify", "--model", model_file, "--tau", "0.5"], 0),
+             (["certify", "--model", str(tmp_path / "absent.json"), "--tau", "0.5"], 2),
+             (["certify", "--model", unstable, "--tau", "0.5", "--N", "100"], 3)]
+    for argv, code in cases:
+        done = _python_m(argv, capture_output=True, text=True)
+        assert done.returncode == code, (argv, done.stderr)
+        assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--tau", "0.5"],
+    ["run", "--kind", "robust", "--tau", "0.5", "--c", "0.1", "--steps", "1000"],
+    ["compare", "--steps", "1000"],
+])
+def test_python_m_stdout_matches_main(model_file, capsys, argv):
+    argv = [argv[0], "--model", model_file, *argv[1:]]
+    done = _python_m(argv, capture_output=True, check=True)
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
+
+
+def test_cycling_csv_bytes_match_the_row_formatter(model_file, capsys):
+    model = load_model(model_file)
+    steps, seed = 1000, 0
+    configs = [FilterConfig.standard()] + [
+        FilterConfig.robust(tau, robkf.certify(model, tau).c_max) for tau in (0.0, 0.5, 1.0)]
+    table = robkf.compare_filters(model, configs, steps, seed)
+    assert all(ft.cycle is not None and sum(ft.cycle) < steps for ft in table.runs)
+    header = ["k"] + [name for label in table.labels
+                      for name in cli._trajectory_columns(f"{label}_", 2)]
+    assert main(["compare", "--model", model_file, "--steps", str(steps)]) == 0
+    assert capsys.readouterr().out == _reference_csv(header, table.runs, steps)
+
+    ft = run_filter(model, FilterConfig.robust(0.5, 0.1), simulate(model, steps, 2).observations)
+    assert ft.cycle is not None and sum(ft.cycle) < steps
+    assert main(["run", "--model", model_file, "--kind", "robust", "--tau", "0.5", "--c", "0.1",
+                 "--steps", str(steps), "--seed", "2"]) == 0
+    header = ["k"] + cli._trajectory_columns("", 2)
+    assert capsys.readouterr().out == _reference_csv(header, [ft], steps)
+
+
+def test_csv_replays_signed_zeros_from_the_cycle(capsys):
+    n, steps, (j, period) = 2, 12, (3, 4)
+    rng = np.random.default_rng(5)
+    P_seq, V_seq, theta_seq = rng.normal(size=(steps, n, n)), rng.normal(size=(steps + 1, n, n)), \
+        rng.normal(size=steps)
+    P_seq[j, 0, 0], P_seq[j + 1, 0, 1], V_seq[j + 1, 1, 1], theta_seq[j + 2] = -0.0, 0.0, -0.0, -0.0
+    V_seq[j + 2, 0, 0], theta_seq[j + 3] = 0.0, 0.0
+    for r in range(j + period, steps):  # row r + 1 repeats row r + 1 - period
+        P_seq[r], V_seq[r + 1], theta_seq[r] = P_seq[r - period], V_seq[r + 1 - period], \
+            theta_seq[r - period]
+    estimates = rng.normal(size=(steps + 1, n))
+    estimates[-1] = [-0.0, 0.0]
+    ft = robkf.FilterTrajectory(config=FilterConfig.standard(), estimates=estimates,
+                                gains=np.zeros((steps, n, 1)), P_seq=P_seq, V_seq=V_seq,
+                                theta_seq=theta_seq, cycle=(j, period))
+    header = ["k"] + cli._trajectory_columns("", n)
+    cli._emit_csv(header, [ft], None)
+    out = capsys.readouterr().out
+    assert out == _reference_csv(header, [ft], steps)
+    replayed = [line.split(",")[1 + n:] for line in out.splitlines()[1 + j + period:]]
+    assert any("-0.0" in row for row in replayed) and any("0.0" in row for row in replayed)

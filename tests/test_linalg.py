@@ -42,3 +42,10 @@ def test_whitening_matches_scipy_generalized_eigh(cond):
                              (0.5, 2 * (1 - np.sqrt(lam)) + 2 * (lam - np.sqrt(lam))),
                              (1.0, lam * np.log(lam) - lam + 1)):
                 assert tau_divergence(f_tilde, f, tau) == pytest.approx(div.sum(), rel=rtol)
+
+
+def test_density_near_the_largest_double():
+    # sym halves before it adds, so entries above half the largest double
+    # stay finite and construction raises and warns nothing
+    density = GaussianDensity(np.zeros(2), 1e308 * np.eye(2))
+    assert np.isfinite(density.cov).all() and np.array_equal(density.cov, 1e308 * np.eye(2))
