@@ -21,7 +21,6 @@ __all__ = [
     "eigvalsh_sym",
     "eigh_sym",
     "spectral_radius",
-    "generalized_eigvalsh",
     "thompson_distance",
     "truncated_sqrt",
     "rank_from_singular_values",
@@ -134,18 +133,14 @@ def truncated_sqrt(M: np.ndarray) -> np.ndarray:
     return U[:, keep] * np.sqrt(w[keep])
 
 
-def generalized_eigvalsh(Q: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the pencil (Q, L Lᵀ), L lower: those of L⁻¹ Q L⁻ᵀ
-    (Cholesky whitening, as LAPACK sygv does)."""
-    X = np.linalg.solve(L, sym(Q))
-    return eigvalsh_sym(np.linalg.solve(L, X.T))
-
-
 def thompson_distance(P: np.ndarray, Q: np.ndarray) -> float:
-    """Thompson part metric max |log lam| over generalized eigenvalues of (Q, P)."""
+    """Thompson part metric max |log lam| over generalized eigenvalues of (Q, P):
+    the eigenvalues of L⁻¹ Q L⁻ᵀ, L the Cholesky factor of P (whitening, as
+    LAPACK sygv does)."""
     L = cholesky_spd(P, "P")
     cholesky_spd(Q, "Q")
-    lam = generalized_eigvalsh(Q, L)
+    X = np.linalg.solve(L, sym(Q))
+    lam = eigvalsh_sym(np.linalg.solve(L, X.T))
     if lam[0] <= 0.0 or not np.all(np.isfinite(lam)):
         raise NotSPD("generalized eigenvalues left the positive cone")
     return float(np.max(np.abs(np.log(lam))))

@@ -20,7 +20,7 @@ formatted up to the end of the first period of its ``cycle``, and later
 rows reuse those strings, as the filter bank replays the arrays.
 ``compare`` runs its panel as one filter bank, and its default panel
 certifies the model once for all three tau. A failed write of the output
-file or stream is an ``OutputError`` (exit 1).
+file or stream, help text included, is an ``OutputError`` (exit 1).
 
 ``python -m robkf.cli`` and the ``robkf`` script start at ``entry``,
 which freezes the import-time heap before it runs ``main``; ``main``
@@ -138,8 +138,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         if args.steps is None:
             raise ConfigError("run needs --steps (with optional --seed) or --obs")
-        if args.steps < 0:
-            raise ConfigError(f"--steps must be >= 0, got {args.steps}")
         seed = 0 if args.seed is None else args.seed
         y = simulate(model, args.steps, seed).observations
 
@@ -178,8 +176,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for cert in _certify_each(model, (0.0, 0.5, 1.0), q=q, N=args.N)
         ]
     steps = 100 if args.steps is None else args.steps
-    if steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {steps}")
     seed = 0 if args.seed is None else args.seed
     table = compare_filters(model, configs, steps, seed)
 
@@ -213,12 +209,19 @@ def cmd_metric(P_file: str, Q_file: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this CLI reserves 2 for
-    input errors, so remap to 1."""
+    input errors, so remap to 1. Help on stdout goes through ``_write``,
+    where argparse would drop a failed write."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def print_help(self, file=None):
+        if file is None:
+            _write(self.format_help(), None)
+        else:
+            super().print_help(file)
 
 
 def _add_common(sub):
@@ -304,18 +307,16 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-
-    try:
+        if getattr(args, "func", None) is None:
+            parser.print_usage(sys.stderr)
+            return 1
         tau = getattr(args, "tau", None)
         if tau is not None and not 0.0 <= tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {tau}")
         log.info("arguments: %s", {k: v for k, v in vars(args).items() if k != "func"})
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
     except RobkfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ModelError) else 3 if isinstance(exc, NumericError) else 1

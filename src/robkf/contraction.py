@@ -24,8 +24,6 @@ from robkf.errors import (
     ConfigError,
     DimensionMismatch,
     DomainViolation,
-    NotObservable,
-    NotReachable,
     NotSPD,
     RiskSensitiveModeUnsupported,
     SearchFailed,
@@ -69,19 +67,24 @@ def thompson_metric(P: np.ndarray, Q: np.ndarray) -> float:
 def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
     """Lipschitz bound in d_T for the map P ↦ M (P⁻¹ + W1)⁻¹ Mᵀ + W2.
 
-    Returns (sqrt(s) / (1 + sqrt(1+s)))² with s the largest eigenvalue
-    of W1⁻¹ Mᵀ W2⁻¹ M, computed through Cholesky whitening. Always in
-    [0, 1): the map is a strict contraction. Shapes that do not fit the
-    map raise DimensionMismatch.
+    Returns (sigma / (1 + sqrt(1 + sigma²)))² with sigma = sigma_max(L2⁻¹ M L1⁻ᵀ),
+    L1 and L2 the Cholesky factors of W1 and W2. The map is a strict
+    contraction, so the value lies in [0, 1); it rounds to 1.0 once sigma
+    passes about 1e16, and is 1.0 where sigma overflows. Shapes that do
+    not fit the map raise DimensionMismatch.
     """
     M, W1, W2 = (np.asarray(X, dtype=float) for X in (M, W1, W2))
     if M.ndim != 2 or W1.shape != (M.shape[1],) * 2 or W2.shape != (M.shape[0],) * 2:
         raise DimensionMismatch(f"shapes M {M.shape}, W1 {W1.shape}, W2 {W2.shape} do not fit")
     L1 = _linalg.cholesky_spd(W1, "W1")
-    K = M.T @ _linalg.solve_spd(W2, M, "W2")
-    s = max(float(_linalg.generalized_eigvalsh(K, L1)[-1]), 0.0) if M.size else 0.0
-    root = np.sqrt(s)
-    return float((root / (1.0 + np.sqrt(1.0 + s))) ** 2)
+    L2 = _linalg.cholesky_spd(W2, "W2")
+    if not M.size:
+        return 0.0
+    X = np.linalg.solve(L1, np.linalg.solve(L2, M).T)  # (L2⁻¹ M L1⁻ᵀ)ᵀ
+    if not np.isfinite(X).all():
+        return 1.0
+    sigma = float(np.linalg.svd(X, compute_uv=False)[0])
+    return (sigma / (1.0 + math.hypot(1.0, sigma))) ** 2 if sigma < math.inf else 1.0
 
 
 @dataclass(frozen=True)
@@ -127,20 +130,20 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
     n, r, p. Omega_N is tested right after G_N's factor, before L_N, Z
     and T exist, so its failure is cheap and comes before Z's.
 
+    A NormalizedModel is reachable and observable, so Omega_N and W(0) are
+    PD in exact arithmetic at N >= n; ``find_phi_N`` rejects them below n.
+
     Raises
     ------
-    NotObservable, NotReachable
-        If Omega_N or the zero-reweighting W fail positive definiteness
-        although N >= n, and O_N (resp. R_N) has rank below n by its
-        singular values; for N < n ``find_phi_N`` rejects such a system.
+    NotReachable, NotObservable
+        If a model that is not a NormalizedModel fails ``normalize``.
     NotSPD
         If the impulse responses overflow when squared, checked before
         the N² blocks are laid out, or a block covariance fails to factor,
-        or Omega_N or W fail to factor at N >= n although O_N and R_N have
-        full rank: they are then PD in exact arithmetic but not numerically.
+        or Omega_N or W fail to factor at N >= n: they are then PD in
+        exact arithmetic but not numerically.
     """
-    if not isinstance(model, NormalizedModel):
-        model = normalize(model)
+    model = normalize(model)
     N = _integer(N, 1, "N must be a positive integer, got {value!r}")
     if N < model.n:
         log.warning("N=%d below the state dimension %d; Omega_N may be singular", N, model.n)
@@ -171,15 +174,9 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
     G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
-    # a failed factor at N >= n is a model error only when the rank is short too
-    if not _linalg.is_spd(Omega_N):
-        if N < n:
-            log.info("Omega_N singular at N=%d < n=%d", N, n)
-        elif _linalg.rank_from_singular_values(O_N) < n:
-            raise NotObservable(f"Omega_N is not positive definite at N={N} >= n={n}")
-        else:
-            raise NotSPD(f"Omega_N is not numerically positive definite at N={N}, "
-                         f"although O_N has rank n={n}")
+    if N >= n and not _linalg.is_spd(Omega_N):
+        raise NotSPD(f"Omega_N is not numerically positive definite at N={N}, "
+                     f"although O_N has rank n={n}")
     L_N = np.zeros((N * n, N * r))
     for i in range(N - 1):
         L_N[i * n:(i + 1) * n, (i + 1) * r:] = R_N[:, :(N - 1 - i) * r]
@@ -191,8 +188,6 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     t_max = _linalg.eigvalsh_sym(T)[-1]
     tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
     if N >= n and not _linalg.is_spd(model.B @ model.B.T + model.A @ T[:n, :n] @ model.A.T):
-        if _linalg.rank_from_singular_values(R_N) < n:
-            raise NotReachable(f"zero-reweighting W is not positive definite at N={N} >= n={n}")
         raise NotSPD(f"zero-reweighting W is not numerically positive definite at N={N}, "
                      f"although R_N has rank n={n}")
     return DownsampledSystem(model=model, N=N, J_N=J_N, Omega_N=Omega_N, T=T,
@@ -261,10 +256,10 @@ def find_phi_N(ds: DownsampledSystem) -> float:
     ⪰ T, it also lies at least that far below tilde_phi_N = 1/lam_max(T),
     where the map's domain ends.
 
-    At N >= n the build has required both to be PD (it raises
-    NotObservable, NotReachable or NotSPD otherwise). Below n the rank
-    comes from R_N's singular values: a Cholesky of the formed W(0) can
-    pass on a rank-deficient R_N through rounding.
+    At N >= n the build has required both to be PD (it raises NotSPD
+    otherwise). Below n the rank comes from R_N's singular values: a
+    Cholesky of the formed W(0) can pass on a rank-deficient R_N through
+    rounding.
 
     Raises
     ------
@@ -382,7 +377,7 @@ def _certify_each(
                 f"risk-sensitive certification covers tau = 1 only, got tau = {tau}"
             )
     q = _integer(q, 1, "q must be a positive integer, got {value!r}")
-    nm = model if isinstance(model, NormalizedModel) else normalize(model)
+    nm = normalize(model)
     if N is None:
         N = max(nm.n, 50)
     N = _integer(N, nm.n, f"N must be an integer >= n = {nm.n}, got {{value!r}}")

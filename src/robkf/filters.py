@@ -175,10 +175,10 @@ def compare_filters(
     equals ``run_filter`` of its config on the simulated observations,
     bit for bit. Labels come from FilterConfig.label(); duplicates get a
     numeric suffix so columns stay addressable. Raises ConfigError
-    unless every config is a FilterConfig and seed a nonnegative
-    integer, and the error of the first step at which any run fails
-    (DomainViolation from a risk-sensitive theta outside the admissible
-    range, say).
+    unless every config is a FilterConfig and steps and seed are
+    nonnegative integers, and the error of the first step at which any
+    run fails (DomainViolation from a risk-sensitive theta outside the
+    admissible range, say).
     """
     if not configs:
         raise ConfigError("compare_filters needs at least one filter config")

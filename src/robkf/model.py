@@ -166,15 +166,21 @@ def _require_uncorrelated(model: StateSpaceModel) -> None:
 
 @dataclass(frozen=True)
 class NormalizedModel(StateSpaceModel):
-    """Model with uncorrelated noises: B Dᵀ = 0 (absolute tol 1e-12 per entry).
-
-    Produced by ``normalize``, which also enforces reachability of (A, B)
-    and observability of (A, C).
+    """Model with uncorrelated noises (B Dᵀ = 0, absolute tol 1e-12 per
+    entry), reachable (A, B) and observable (A, C): the contraction
+    theorem's hypothesis, however the instance was built. Raises
+    ModelError for correlated noises, NotReachable (NotObservable) when
+    R_n (O_n) has rank below n by its singular values.
     """
 
     def __post_init__(self):
         super().__post_init__()
         _require_uncorrelated(self)
+        n = self.n
+        if _linalg.rank_from_singular_values(reachability_matrix(self, n)) < n:
+            raise NotReachable("(A, B) is not reachable after normalization")
+        if _linalg.rank_from_singular_values(observability_matrix(self, n)) < n:
+            raise NotObservable("(A, C) is not observable")
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,8 @@ def powers_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
 def normalize(model: StateSpaceModel) -> NormalizedModel:
     """Decouple process and measurement noise.
 
-    If B Dᵀ already vanishes the matrices pass through unchanged.
+    A NormalizedModel is returned as it is. Otherwise, if B Dᵀ already
+    vanishes, the matrices pass through unchanged.
     Otherwise the state equation is rewritten with
 
         Ã = A − B Dᵀ (D Dᵀ)⁻¹ C,
@@ -232,36 +239,31 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
     Raises
     ------
     NotReachable, NotObservable
-        If the transformed pair fails its rank test.
+        If the transformed pair fails its rank test (see NormalizedModel).
     """
+    if isinstance(model, NormalizedModel):
+        return model
     if not _cross_covariance(model):
-        candidate = NormalizedModel(
+        return NormalizedModel(
             A=model.A, B=model.B, C=model.C, D=model.D,
             x0_mean=model.x0_mean, V0=model.V0,
         )
-    else:
-        BBt, BDt, DDt = model.noise_covariances()
-        n, m, p = model.n, model.m, model.p
-        W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
-        A_t = model.A - BDt @ W[:, :n]
-        Sigma = _linalg.sym(BBt - BDt @ W[:, n:])
-        B_hat = _linalg.truncated_sqrt(Sigma)
-        r = B_hat.shape[1]
-        log.debug("normalize: reduced process noise rank %d of %d", r, n)
-        candidate = NormalizedModel(
-            A=A_t,
-            B=np.hstack([B_hat, np.zeros((n, m))]),
-            C=model.C,
-            D=np.hstack([np.zeros((p, r)), model.D]),
-            x0_mean=model.x0_mean,
-            V0=model.V0,
-        )
-    n = candidate.n
-    if _linalg.rank_from_singular_values(reachability_matrix(candidate, n)) < n:
-        raise NotReachable("(A, B) is not reachable after normalization")
-    if _linalg.rank_from_singular_values(observability_matrix(candidate, n)) < n:
-        raise NotObservable("(A, C) is not observable")
-    return candidate
+    BBt, BDt, DDt = model.noise_covariances()
+    n, m, p = model.n, model.m, model.p
+    W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
+    A_t = model.A - BDt @ W[:, :n]
+    Sigma = _linalg.sym(BBt - BDt @ W[:, n:])
+    B_hat = _linalg.truncated_sqrt(Sigma)
+    r = B_hat.shape[1]
+    log.debug("normalize: reduced process noise rank %d of %d", r, n)
+    return NormalizedModel(
+        A=A_t,
+        B=np.hstack([B_hat, np.zeros((n, m))]),
+        C=model.C,
+        D=np.hstack([np.zeros((p, r)), model.D]),
+        x0_mean=model.x0_mean,
+        V0=model.V0,
+    )
 
 
 def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:

@@ -103,6 +103,8 @@ def test_config_errors_exit_1(model_file, capsys):
     assert main(["compare", "--model", model_file, "--filter", "robust:c=0.1"]) == 1
     assert main(["certify", "--model", model_file, "--tau", "0.5",
                  "--mode", "risk_sensitive"]) == 1  # RiskSensitiveModeUnsupported
+    assert main(["run", "--model", model_file, "--kind", "standard", "--steps", "-1"]) == 1
+    assert main(["compare", "--model", model_file, "--filter", "standard", "--steps", "-1"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -143,8 +145,12 @@ def test_metric_failures(tmp_path, capsys):
     p = matrix_file(tmp_path, "p.json", np.eye(2))
     bad = matrix_file(tmp_path, "bad.json", [[1.0, 2.0], [2.0, 1.0]])
     flat = matrix_file(tmp_path, "flat.json", [[1.0, 2.0]])
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text("[[1.0, 0.0], [0.0]]")
     assert main(["metric", p, bad]) == 3
     assert main(["metric", p, flat]) == 2
+    assert main(["metric", p, str(ragged)]) == 2
+    assert f"matrix: {ragged} is not a rectangular numeric array" in capsys.readouterr().err
     missing = str(tmp_path / "gone.json")
     assert main(["metric", p, missing]) == 2
     assert f"matrix: {missing} not readable" in capsys.readouterr().err
@@ -536,7 +542,8 @@ def test_write_to_a_missing_directory_exits_1(model_file, tmp_path, capsys, comm
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["certify", "--tau", "0.5"],
-                                  ["compare", "--filter", "standard", "--steps", "1000"]])
+                                  ["compare", "--filter", "standard", "--steps", "1000"],
+                                  ["--help"], ["certify", "--help"]])
 def test_write_to_a_full_stdout_exits_1(model_file, argv):
     with open("/dev/full", "w") as full:
         done = _python_m([argv[0], "--model", model_file, *argv[1:]], stdout=full,

@@ -81,6 +81,13 @@ def test_contraction_bound_values():
     assert contraction_bound(np.eye(2), np.eye(2), np.eye(2)) == pytest.approx(want, rel=1e-12)
     with pytest.raises(NotSPD):
         contraction_bound(np.eye(2), -np.eye(2), np.eye(2))
+    # sigma = 1e300 squares past the largest double, L2⁻¹ M L1⁻ᵀ = 1e600 I and
+    # sigma_max(1e308 ones) overflow: the bound is 1.0, not NaN
+    tiny = 1e-300 * np.eye(2)
+    assert contraction_bound(tiny, tiny, tiny) == pytest.approx(want, rel=1e-12)
+    assert contraction_bound(np.eye(2), tiny, tiny) == 1.0
+    assert contraction_bound(1e300 * np.eye(2), tiny, tiny) == 1.0
+    assert contraction_bound(1e308 * np.ones((2, 2)), np.eye(2), np.eye(2)) == 1.0
 
 
 @pytest.mark.parametrize("M,W1,W2", [
@@ -302,19 +309,19 @@ def test_build_downsampled_overflow_past_the_squares_is_not_spd():
     # A^k overflows outright before any impulse response is checked
     model = NormalizedModel(
         A=np.diag([0.5, 1e10]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-        C=[[1.0, 1.0]], D=[[0.0, 0.0, 1.0]],
+        C=[[1.0, 1e-10]], D=[[0.0, 0.0, 1.0]],
         x0_mean=np.zeros(2), V0=np.eye(2))
     with pytest.raises(NotSPD, match="lifted system overflows at N=40"):
         build_downsampled(model, 40)
 
 
 def test_build_downsampled_unobservable_pair():
-    model = NormalizedModel(
-        A=np.diag([0.5, 0.6]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-        C=[[1.0, 0.0]], D=[[0.0, 0.0, 1.0]],
-        x0_mean=np.zeros(2), V0=np.eye(2))
+    # a NormalizedModel carries the rank test, so no lifted system is built
     with pytest.raises(NotObservable):
-        build_downsampled(model, 2)
+        NormalizedModel(
+            A=np.diag([0.5, 0.6]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            C=[[1.0, 0.0]], D=[[0.0, 0.0, 1.0]],
+            x0_mean=np.zeros(2), V0=np.eye(2))
 
 
 def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error(monkeypatch):
@@ -337,12 +344,11 @@ def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error(monkeyp
 
 
 def test_build_downsampled_unreachable_pair():
-    model = NormalizedModel(
-        A=np.diag([0.5, 0.6]), B=[[1.0, 0.0], [0.0, 0.0]],
-        C=[[1.0, 1.0]], D=[[0.0, 1.0]],
-        x0_mean=np.zeros(2), V0=np.eye(2))
     with pytest.raises(NotReachable):
-        build_downsampled(model, 2)
+        NormalizedModel(
+            A=np.diag([0.5, 0.6]), B=[[1.0, 0.0], [0.0, 0.0]],
+            C=[[1.0, 1.0]], D=[[0.0, 1.0]],
+            x0_mean=np.zeros(2), V0=np.eye(2))
 
 
 def test_tilde_phi_golden(example_normalized):

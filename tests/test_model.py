@@ -31,10 +31,13 @@ def test_example_model_dimensions(example_model):
 
 
 def test_row_mismatch_rejected():
-    A, _, C, D = example_matrices()
-    with pytest.raises(DimensionMismatch):
-        StateSpaceModel(A=A, B=np.zeros((3, 2)), C=C, D=D,
-                        x0_mean=np.zeros(2), V0=np.eye(2))
+    A, B, C, D = example_matrices()
+    good = dict(A=A, B=B, C=C, D=D, x0_mean=np.zeros(2), V0=np.eye(2))
+    for name, bad in [("B", np.zeros((3, 2))), ("A", np.eye(2)[:, :1]),
+                      ("C", np.ones((1, 3))), ("D", np.ones((1, 2))),
+                      ("x0_mean", np.zeros(3)), ("V0", np.eye(3))]:
+        with pytest.raises(DimensionMismatch, match=f"^{name} must"):
+            StateSpaceModel(**{**good, name: bad})
 
 
 def test_singular_dd_rejected():
@@ -97,6 +100,7 @@ def test_normalize_idempotent(make_model):
     model = make_model(rng, n=2, p=1, correlated=True)
     once = normalize(model)
     twice = normalize(once)
+    assert twice is once
     np.testing.assert_allclose(twice.A, once.A, atol=1e-12)
     np.testing.assert_allclose(twice.B @ twice.B.T, once.B @ once.B.T, atol=1e-12)
     np.testing.assert_array_equal(twice.C, once.C)
@@ -326,3 +330,5 @@ def test_load_model_missing_and_extra_keys(tmp_path):
 def test_load_model_not_an_object(tmp_path):
     with pytest.raises(ModelIOError):
         load_model(_write_model(tmp_path, "[1, 2, 3]"))
+    with pytest.raises(ModelIOError, match="is not valid JSON"):
+        load_model(_write_model(tmp_path, '{"A": [[1.0'))
