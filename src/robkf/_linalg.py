@@ -5,9 +5,11 @@ factorizations throughout, no structured solvers.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from robkf.errors import NotSPD
+from robkf.errors import DomainViolation, NotSPD
 
 __all__ = [
     "sym",
@@ -21,6 +23,7 @@ __all__ = [
     "eigvalsh_sym",
     "eigh_sym",
     "spectral_radius",
+    "log_eigenvalues",
     "thompson_distance",
     "truncated_sqrt",
     "rank_from_singular_values",
@@ -31,6 +34,8 @@ __all__ = [
 PSD_RTOL = 1e-10
 # Singular values at or below RANK_REL_TOL·σ_max do not count towards a rank.
 RANK_REL_TOL = 1e-10
+# The smallest normal double; below it a singular value has lost precision.
+_TINY = float(np.finfo(float).tiny)
 _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 
 
@@ -133,17 +138,28 @@ def truncated_sqrt(M: np.ndarray) -> np.ndarray:
     return U[:, keep] * np.sqrt(w[keep])
 
 
+def log_eigenvalues(P: np.ndarray, Q: np.ndarray) -> list[float]:
+    """log of the generalized eigenvalues lam of the SPD pencil (Q, P), as
+    floats, from the singular values s of L_P⁻¹ L_Q (L_P, L_Q the Cholesky
+    factors): lam = s², so no factor is squared and the lam may span twice the
+    double range. The factors are first scaled apart exactly by powers of two,
+    which divides every lam by 2^(2h), 2h centring the ratios Q_ii/P_ii (which
+    lie between the extreme lam); log 2^(2h) is added back. NotSPD naming P or
+    Q unless both are SPD; DomainViolation where an s is not a normal double."""
+    eq, ep = np.frexp(np.diag(Q))[1], np.frexp(np.diag(P))[1]
+    h = int((eq - ep).max() + (eq - ep).min()) // 4
+    L_P = np.ldexp(cholesky_spd(P, "P"), h - h // 2)
+    L_Q = np.ldexp(cholesky_spd(Q, "Q"), -(h // 2))
+    s = np.linalg.svd(np.linalg.solve(L_P, L_Q), compute_uv=False).tolist()
+    if not _TINY <= s[-1] <= s[0] < math.inf:
+        raise DomainViolation("the covariance ratio spans more than twice the double range")
+    return [2.0 * (h * math.log(2.0) + math.log(x)) for x in s]
+
+
 def thompson_distance(P: np.ndarray, Q: np.ndarray) -> float:
-    """Thompson part metric max |log lam| over generalized eigenvalues of (Q, P):
-    the eigenvalues of L⁻¹ Q L⁻ᵀ, L the Cholesky factor of P (whitening, as
-    LAPACK sygv does)."""
-    L = cholesky_spd(P, "P")
-    cholesky_spd(Q, "Q")
-    X = np.linalg.solve(L, sym(Q))
-    lam = eigvalsh_sym(np.linalg.solve(L, X.T))
-    if lam[0] <= 0.0 or not np.all(np.isfinite(lam)):
-        raise NotSPD("generalized eigenvalues left the positive cone")
-    return float(np.max(np.abs(np.log(lam))))
+    """Thompson part metric max |log lam| over the generalized eigenvalues of
+    (Q, P), from ``log_eigenvalues``."""
+    return max(map(abs, log_eigenvalues(P, Q)))
 
 
 def rank_from_singular_values(M: np.ndarray) -> int:

@@ -20,7 +20,8 @@ formatted up to the end of the first period of its ``cycle``, and later
 rows reuse those strings, as the filter bank replays the arrays.
 ``compare`` runs its panel as one filter bank, and its default panel
 certifies the model once for all three tau. A failed write of the output
-file or stream, help text included, is an ``OutputError`` (exit 1).
+file or stream, help text included, is an ``OutputError`` (exit 1); a
+missing ``--out`` directory is found before the command does any work.
 
 ``python -m robkf.cli`` and the ``robkf`` script start at ``entry``,
 which freezes the import-time heap before it runs ``main``; ``main``
@@ -68,6 +69,10 @@ def _upper_tri_names(name: str, n: int) -> list:
     return [f"{name}_{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
+def _output_error(target: str, exc: OSError) -> OutputError:
+    return OutputError(f"cannot write {target}: {exc.strerror or exc}")
+
+
 def _write(text: str, output_path: Optional[str]) -> None:
     """Write a command's output to the file, or to stdout and flush it,
     so that a failed write is an ``OutputError`` inside the command."""
@@ -79,8 +84,16 @@ def _write(text: str, output_path: Optional[str]) -> None:
             with open(output_path, "w", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        target = "stdout" if output_path is None else output_path
-        raise OutputError(f"cannot write {target}: {exc.strerror or exc}") from None
+        raise _output_error("stdout" if output_path is None else output_path, exc) from None
+
+
+def _check_out_dir(output_path: str) -> None:
+    """``OutputError`` with ``_write``'s text, before any work, if the directory
+    of the output file is missing or is not one. Opens and creates nothing."""
+    try:
+        os.stat(os.path.join(os.path.dirname(output_path) or ".", ""))
+    except OSError as exc:
+        raise _output_error(output_path, exc) from None
 
 
 def _emit_csv(header: list, runs: list, output_path: Optional[str]) -> None:
@@ -313,6 +326,8 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         tau = getattr(args, "tau", None)
         if tau is not None and not 0.0 <= tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+        if getattr(args, "out", None) is not None:
+            _check_out_dir(args.out)
         log.info("arguments: %s", {k: v for k, v in vars(args).items() if k != "func"})
         return args.func(args)
     except SystemExit as exc:

@@ -54,8 +54,10 @@ def thompson_metric(P: np.ndarray, Q: np.ndarray) -> float:
 
     The lam_i are the generalized eigenvalues of (Q, P), so the value is
     symmetric in its arguments and invariant under inversion and joint
-    congruence. Raises DimensionMismatch unless P and Q have one shape,
-    and NotSPD unless both are SPD.
+    congruence. They come from ``tau_divergence``'s kernel, which squares
+    no factor, so they may span twice the double range. Raises
+    DimensionMismatch unless P and Q have one shape, NotSPD naming P or Q
+    unless both are SPD, and DomainViolation where they span more.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -52,8 +52,6 @@ _EDGE_EPS = 1e-12
 _MAX_ITER = 200
 # np.exp overflows exactly for arguments above the log of the largest double.
 _EXP_MAX = math.log(np.finfo(float).max)
-# The smallest normal double; below it a singular value has lost precision.
-_TINY = float(np.finfo(float).tiny)
 # For |u| < _SERIES_U the divergence is summed from its power series in u
 # up to u^_SERIES_ORDER; the first omitted term is below 1e-19 of the sum.
 _SERIES_U = 0.5
@@ -434,24 +432,6 @@ def phi_upper_bound(theta: float, tau: float, d_bar: float) -> float:
     return -np.expm1(-theta * d_bar) / d_bar
 
 
-def _log_eigenvalues(Q: np.ndarray, P: np.ndarray) -> list[float]:
-    """log of the generalized eigenvalues lam of the SPD pencil (Q, P), as
-    floats, from the singular values s of L_P⁻¹ L_Q (L_P, L_Q the Cholesky
-    factors): lam = s², so no factor is squared and the lam may span twice the
-    double range. The factors are first scaled apart exactly by powers of two,
-    which divides every lam by 2^(2h), 2h centring the ratios Q_ii/P_ii (which
-    lie between the extreme lam); log 2^(2h) is added back. DomainViolation
-    where an s is not a normal positive double."""
-    eq, ep = np.frexp(np.diag(Q))[1], np.frexp(np.diag(P))[1]
-    h = int((eq - ep).max() + (eq - ep).min()) // 4
-    L_P = np.ldexp(_linalg.cholesky_spd(P, "cov"), h - h // 2)
-    L_Q = np.ldexp(_linalg.cholesky_spd(Q, "cov"), -(h // 2))
-    s = np.linalg.svd(np.linalg.solve(L_P, L_Q), compute_uv=False).tolist()
-    if not _TINY <= s[-1] <= s[0] < math.inf:
-        raise DomainViolation("the covariance ratio spans more than twice the double range")
-    return [2.0 * (h * math.log(2.0) + math.log(x)) for x in s]
-
-
 def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> float:
     """Divergence D_tau(f_tilde || f) between two Gaussians.
 
@@ -466,14 +446,14 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     f.cov⁻¹ for tau < 1; at tau = 1 any nonzero mean difference makes
     the divergence +inf. Invariant under the choice of symmetric factor
     of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
-    covariance part is evaluated in u = log lam, from its power series
-    where the closed forms above cancel (lam near 1). The lam are the
-    squared singular values of the whitened Cholesky factor of f_tilde.cov,
-    rescaled by powers of two, so a lam beyond the double range still
-    counts, and the lam may span twice the double range (about 1e-616 to
-    1e616 about their centre). The value is +inf wherever a term overflows
-    a double, as it does for a lam above 1e305 to 1e308 (by tau);
-    DomainViolation only where the lam span more than that range.
+    covariance part is evaluated in u = log lam, from its power series where
+    the closed forms above cancel (lam near 1). The lam are the squared
+    singular values of the whitened Cholesky factor of f_tilde.cov, rescaled by
+    powers of two (the kernel of ``thompson_metric`` too), so a lam beyond the
+    double range still counts, and the lam may span twice the double range
+    (about 1e-616 to 1e616 about their centre). The value is +inf wherever a
+    term overflows a double, as it does for a lam above 1e305 to 1e308 (by
+    tau); DomainViolation only where the lam span more than that range.
     """
     tau = check_tau(tau)
     if f_tilde.dim != f.dim:
@@ -485,7 +465,7 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     if tau == 1.0 and not means_equal:
         return float("inf")
     coef = _series_coefficients(tau)
-    u = _log_eigenvalues(f_tilde.cov, f.cov)
+    u = _linalg.log_eigenvalues(f.cov, f_tilde.cov)
     cov_part = sum(_g(x, tau, coef)[0] for x in u)
     if not math.isfinite(cov_part):
         cov_part = math.inf

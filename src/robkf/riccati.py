@@ -277,7 +277,9 @@ class FixedPointReport:
     and conditional covariance V of the step that produced it, an
     identity of every model because G S = A V Cᵀ + B Dᵀ, reported as a
     diagnostic only. V_star is P_star reweighted and G_star its gain.
-    ``theta_star`` is None for the standard stepper.
+    ``theta_star`` is None for the standard stepper. ``cycle`` is (j, p)
+    when the state (V, theta) after iteration j + p repeated the one after
+    iteration j byte for byte, as in ``filters.FilterTrajectory``, else None.
     """
 
     P_star: np.ndarray
@@ -288,6 +290,7 @@ class FixedPointReport:
     final_step_distance: float
     spectral_radius_closed_loop: float
     identity_residual: float
+    cycle: tuple[int, int] | None
 
 
 def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
@@ -433,7 +436,12 @@ def iterate_to_fixed_point(
     ``FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)`` does in a
     filter run. The steps come from the same gain-form kernel as
     ``filters.run_filter``, so started at model.V0 the k-th iterate is
-    row k of a filter run bit for bit. Stops when d_T(P_k, P_{k+1}) <= tol.
+    row k of a filter run bit for bit. Stops when d_T(P_k, P_{k+1}) <= tol,
+    or at a cycle: once the state (V, theta) after iteration j + p repeats
+    the one after iteration j byte for byte (keyed as in
+    ``_covariance_sequence``), every later step distance repeats one
+    already measured but for the step closing the cycle, so one more step
+    decides. A period-1 cycle is an exact fixed point; its closing step is 0.
 
     Returns
     -------
@@ -445,7 +453,9 @@ def iterate_to_fixed_point(
     Raises
     ------
     MaxIterExceeded
-        With the partial report attached as ``report``.
+        With the partial report attached as ``report``: after max_iter
+        iterations, or after j + p + 1 at a cycle (j, p) whose steps stay
+        above tol.
     ConfigError
         If the stepper and its parameters do not make a FilterConfig,
         tol is not positive, or max_iter is not a positive integer.
@@ -459,25 +469,33 @@ def iterate_to_fixed_point(
     if not _as_float(tol) > 0.0:
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     max_iter = _integer(max_iter, 1, "max_iter must be a positive integer, got {value!r}")
-    V, th = _linalg.sym(_square(model, start, "start")), 0.0
+    V = _linalg.sym(_square(model, start, "start"))
+    th = 0.0 if config.theta is None else config.theta
     _linalg.psd_spectrum(V, "start")
 
     noise = model.noise_covariances()
+    seen = {(V.tobytes(), th): 0}
     P_prev: np.ndarray | None = None
     dist = float("inf")
     converged = False
+    cycle = None
     for iterations in range(1, max_iter + 1):
         V_k = V
         G_k, P_star, V, th = _bank_step(model, (config,), noise, V_k, th)
         if P_prev is not None:
             try:
                 dist = _linalg.thompson_distance(P_prev, P_star)
-            except NotSPD:
+            except (NotSPD, DomainViolation):
                 dist = float("inf")
         P_prev = P_star
         if dist <= tol:
             converged = True
             break
+        if cycle is not None:
+            break
+        j = seen.setdefault((V.tobytes(), th), iterations)
+        if j < iterations:
+            cycle = (j, iterations - j)
 
     G_star = gain(model, V)
     AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D
@@ -491,11 +509,14 @@ def iterate_to_fixed_point(
         final_step_distance=dist,
         spectral_radius_closed_loop=_linalg.spectral_radius(model.A - G_star @ model.C),
         identity_residual=float(residual / max(1.0, np.linalg.norm(P_star))),
+        cycle=cycle,
     )
     if not converged:
+        where = (f"within {max_iter} iterations" if cycle is None else
+                 f"before (V, theta) after iteration {sum(cycle)} repeated iteration "
+                 f"{cycle[0]}, a cycle of period {cycle[1]}")
         raise MaxIterExceeded(
-            f"no fixed point within {max_iter} iterations "
-            f"(last step distance {dist:.3e} vs tol {tol:.3e})",
+            f"no fixed point {where} (last step distance {dist:.3e} vs tol {tol:.3e})",
             report=report,
         )
     log.info(

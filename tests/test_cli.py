@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -138,7 +139,15 @@ def test_metric_values(tmp_path, capsys):
     assert main(["metric", p, p]) == 0
     assert capsys.readouterr().out.strip() == "0.0"
     assert main(["metric", p, q]) == 0
-    assert capsys.readouterr().out.strip() == "0.6931471805599453"
+    # the Cholesky factor of 2I is fl(√2), and fl(√2)² = 2 + 2.7e-16: one ulp above ln 2
+    assert capsys.readouterr().out.strip() == "0.6931471805599454"
+
+
+def test_metric_across_twice_the_double_range(tmp_path, capsys):
+    p = matrix_file(tmp_path, "p.json", 1e-300 * np.eye(2))
+    q = matrix_file(tmp_path, "q.json", 1e300 * np.eye(2))
+    assert main(["metric", p, q]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(600 * math.log(10), rel=1e-15)
 
 
 def test_metric_failures(tmp_path, capsys):
@@ -538,6 +547,24 @@ def test_write_to_a_missing_directory_exits_1(model_file, tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command, work", [("certify", ["certify"]), ("run", ["run_filter"]),
+                                           ("compare", ["_certify_each", "compare_filters"])])
+def test_unwritable_out_directory_fails_before_any_work(model_file, tmp_path, monkeypatch,
+                                                       capsys, command, work):
+    calls = []
+    for name in work:
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: calls.append(_name))
+    extra = {"certify": ["--tau", "0.5"], "run": ["--kind", "standard", "--steps", "1000"],
+             "compare": ["--steps", "1000"]}[command]
+    (tmp_path / "file").write_text("")
+    for out, why in ((tmp_path / "missing" / "out.csv", "No such file or directory"),
+                     (tmp_path / "file" / "out.csv", "Not a directory")):
+        assert main([command, "--model", model_file, "--out", str(out)] + extra) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {why}\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "model.json"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -48,6 +48,15 @@ def test_thompson_metric_basics():
     assert thompson_metric(np.eye(3), 2 * np.eye(3)) == pytest.approx(np.log(2), rel=1e-12)
 
 
+def test_thompson_metric_spans_twice_the_double_range():
+    # no Cholesky factor is squared, so ratios past the double range still resolve
+    for e in (300, 200):
+        d = thompson_metric(10.0**-e * np.eye(2), 10.0**e * np.eye(2))
+        assert d == pytest.approx(2 * e * math.log(10), rel=1e-15)
+    with pytest.raises(DomainViolation, match="more than twice the double range"):
+        thompson_metric(np.diag([1e-300, 1e300]), np.diag([1e300, 1e-300]))
+
+
 def test_thompson_metric_axioms():
     rng = np.random.default_rng(2)
     for _ in range(30):

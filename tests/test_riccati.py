@@ -27,7 +27,7 @@ from robkf import (
     v_update,
 )
 
-from conftest import example_matrices, random_spd
+from conftest import example_matrices, precise_sensor_jordan_model, random_spd
 
 
 def scalar_model(a=1.0, b=1.0, c=1.0, d=1.0):
@@ -277,6 +277,28 @@ def test_max_iter_exceeded_carries_report(example_normalized):
     report = err.value.report
     assert report.iterations == 3
     assert report.P_star.shape == (2, 2)
+
+
+@pytest.mark.parametrize("tau, c", [(0.5, 1e7), (0.0, 1e6)])
+def test_fixed_point_stops_once_a_cycle_above_tol_repeats(tau, c):
+    # (V, theta) repeats exactly from about iteration 17, with step distances
+    # of 1e-10 to 1e-8, so tol 1e-11 is never met; the iteration stops once the
+    # cycle has closed instead of running to max_iter
+    with pytest.raises(MaxIterExceeded, match="a cycle of period") as err:
+        iterate_to_fixed_point(precise_sensor_jordan_model(), np.eye(3), "robust",
+                               tau=tau, c=c, tol=1e-11, max_iter=20000)
+    report = err.value.report
+    assert report.cycle is not None
+    assert report.iterations == sum(report.cycle) + 1 <= 100
+    assert report.final_step_distance > 1e-11
+
+
+def test_fixed_point_started_at_an_exact_fixed_point_converges():
+    # with A = 0 the prediction is B Bᵀ from any V: the state after the first
+    # step repeats the start, and the step closing that cycle measures 0
+    model = scalar_model(a=0.0)
+    report = iterate_to_fixed_point(model, model.B @ model.B.T, tol=1e-300)
+    assert (report.iterations, report.cycle, report.final_step_distance) == (2, (0, 1), 0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
