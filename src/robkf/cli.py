@@ -160,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_filter_spec(spec: str) -> FilterConfig:
-    """Parse 'kind' or 'kind:key=value,...' with keys tau, c, theta."""
+    """Parse 'kind' or 'kind:key=value,...' with keys tau, c, theta, each at most once."""
     kind, _, rest = spec.partition(":")
     kw = {}
     if rest:
@@ -169,6 +169,8 @@ def _parse_filter_spec(spec: str) -> FilterConfig:
             key = key.strip()
             if not eq or key not in ("tau", "c", "theta"):
                 raise ConfigError(f"bad filter spec item {item!r} in {spec!r}")
+            if key in kw:
+                raise ConfigError(f"repeated key {key!r} in filter spec {spec!r}")
             try:
                 kw[key] = float(value)
             except ValueError:

@@ -129,12 +129,12 @@ def _psd_spectrum(P: np.ndarray, eig=_linalg.eigvalsh_sym) -> np.ndarray:
 
 
 def _positive_eigh(P: np.ndarray):
-    """Eigendecomposition (w ascending, U) of the exactly symmetric P, or of
-    each matrix of a stack P; NotSPD unless every one is finite and positive
-    definite."""
+    """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD,
+    naming its lowest and highest eigenvalue, unless P is finite and
+    positive definite."""
     w, U = np.linalg.eigh(_linalg.finite(P, "P"))
-    if not (w[0] if w.ndim == 1 else w[:, 0].min()) > 0.0:
-        raise NotSPD("P is not symmetric positive definite")
+    if not w[0] > 0.0:
+        raise NotSPD(f"P is not symmetric positive definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
     return w, U
 
 
@@ -349,9 +349,8 @@ def _reweighting_weights(w: np.ndarray, theta: float, tau: float) -> np.ndarray:
 
 def _reweighted(U: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """U diag(wf) Uᵀ, symmetrized, for the eigenvectors U of P and the
-    weights wf = w f(w) of ``_reweighting_weights``. For a (K, n, n)
-    stack U, wf is (K, 1, n) and each matrix gets its own product."""
-    return _linalg.sym((U * wf) @ U.swapaxes(-1, -2))
+    weights wf = w f(w) of ``_reweighting_weights``."""
+    return _linalg.sym((U * wf) @ U.T)
 
 
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:

@@ -15,7 +15,8 @@ is exported by ``robkf.riccati`` and ``robkf``, not by this module.
 ``run_filter`` is the bank of one. The covariance side reads no
 observation, so the bank takes it whole from
 ``riccati._covariance_sequence``, which steps all configs together, one
-``riccati._bank_step`` per step, until every run has repeated and then
+``riccati._bank_step`` per step, each run reweighted by
+``riccati._reweight`` as alone, until every run has repeated and then
 copies each run's cycle. The bank runs only the state updates, in the
 closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
 A - G_k C and G_k y_k formed in one batch and one stacked product per
@@ -178,7 +179,8 @@ def compare_filters(
     unless every config is a FilterConfig and steps and seed are
     nonnegative integers, and the error of the first step at which any
     run fails (DomainViolation from a risk-sensitive theta outside the
-    admissible range, say).
+    admissible range, say); when several fail at that step, the error is
+    the first failing config's, in the order of configs.
     """
     if not configs:
         raise ConfigError("compare_filters needs at least one filter config")

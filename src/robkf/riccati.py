@@ -10,10 +10,9 @@ filter applies a fixed theta. The robust reweighting factors P once,
 for the theta solve and the reweighting both, and starts the solve from
 the previous step's theta. ``_bank_step`` is the one step of the
 recursions: it steps a bank of K configs of one model together, V as a
-(K, n, n) stack, with one batched gain-form step (``predict_covariance``)
-and one batched eigendecomposition; the theta solves and f(w) run row by
-row. A bank of one steps the bare n×n matrices through ``_reweight``.
-Each caller loops over it: ``filters.run_filter`` and
+(K, n, n) stack, with one batched gain-form step (``predict_covariance``),
+then reweights each row through ``_reweight``; a bank of one steps the
+bare n×n matrices. Each caller loops over it: ``filters.run_filter`` and
 ``filters.compare_filters`` (through ``_covariance_sequence``, which
 steps the bank until every row has repeated its (V, theta) exactly, then
 copies each row's cycle), ``iterate_to_fixed_point`` and the single-step
@@ -127,18 +126,6 @@ class FilterConfig:
         return "rskf_tau" + f"{self.tau:g}".replace(".", "")
 
 
-def _row_weights(config: FilterConfig, w: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
-    """The weights w f(w) and the theta of one non-standard row, from the
-    ascending eigenvalues w of its prediction: theta solved against the
-    budget c from the start theta for the robust kind, the fixed theta
-    for the risk-sensitive kind."""
-    if config.kind == "robust":
-        theta = _theta_on(w, config.c, config.tau, theta)
-    else:
-        theta = config.theta
-    return _reweighting_weights(w, theta, config.tau), theta
-
-
 def _reweight(config: FilterConfig, P: np.ndarray,
               theta: float = 0.0) -> tuple[np.ndarray, float]:
     """Reweight the exactly symmetric prediction covariance P into the
@@ -153,21 +140,24 @@ def _reweight(config: FilterConfig, P: np.ndarray,
     if config.kind == "standard":
         return P, 0.0
     w, U = _positive_eigh(P)
-    wf, theta = _row_weights(config, w, theta)
-    return _reweighted(U, wf), theta
+    if config.kind == "robust":
+        theta = _theta_on(w, config.c, config.tau, theta)
+    else:
+        theta = config.theta
+    return _reweighted(U, _reweighting_weights(w, theta, config.tau)), theta
 
 
 def _bank_step(model: StateSpaceModel, configs, noise, V: np.ndarray, thetas):
     """One step of the covariance recursions of K configs of one model, as one bank.
 
     Maps the exactly symmetric conditional covariances V_k, a (K, n, n)
-    stack, and the list of their K thetas to (G_k, P_{k+1}, V_{k+1},
+    stack, and the sequence of their K thetas to (G_k, P_{k+1}, V_{k+1},
     theta_{k+1}), shaped as the inputs, given the model's
     ``noise_covariances()``. Row i reads only its (V_k, theta_k) and
     configs[i]; its robust solve starts from theta_k (0 for a cold
-    start). One batched gain-form step, one batched eigendecomposition
-    of the non-standard rows and one batched product serve all rows;
-    the theta solves and f(w) run row by row.
+    start). One batched gain-form step serves all rows; each row is then
+    reweighted by ``_reweight``, in the order of configs, so the first
+    row to fail raises.
 
     A bank of one steps the bare n×n V and a float theta through
     ``_reweight`` to the same bits: as stacks of one, numpy's per-call
@@ -178,17 +168,8 @@ def _bank_step(model: StateSpaceModel, configs, noise, V: np.ndarray, thetas):
     if P.ndim == 2:
         V, theta = _reweight(configs[0], P, thetas)
         return G, P, V, theta
-    rows = [i for i, config in enumerate(configs) if config.kind != "standard"]
-    out = [0.0] * len(configs)
-    if not rows:
-        return G, P, P, out
-    w, U = _positive_eigh(P[rows])
-    wf = np.empty_like(w)[:, None]
-    for j, i in enumerate(rows):
-        wf[j, 0], out[i] = _row_weights(configs[i], w[j], thetas[i])
-    V = P.copy()
-    V[rows] = _reweighted(U, wf)
-    return G, P, V, out
+    V, thetas = zip(*map(_reweight, configs, P, thetas))
+    return G, P, np.stack(V), thetas
 
 
 def _covariance_sequence(model: StateSpaceModel, configs, T: int):

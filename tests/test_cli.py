@@ -337,6 +337,21 @@ def test_compare_bad_filter_spec(model_file, capsys):
     capsys.readouterr()
 
 
+def test_compare_rejects_a_repeated_filter_spec_key(model_file, capsys):
+    spec = "robust:tau=0.5,c=0.1,tau=0.7"
+    assert main(["compare", "--model", model_file, "--filter", spec, "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: repeated key 'tau' in filter spec {spec!r}\n"
+
+
+def test_rejected_reweighting_exits_3_naming_the_spectrum(model_file, capsys):
+    assert main(["run", "--model", model_file, "--kind", "risk_sensitive", "--tau", "1",
+                 "--theta", "0.5", "--steps", "20"]) == 3
+    assert re.fullmatch(r"error: P is not symmetric positive definite \(eigenvalues "
+                        r"-\S+e\+\d+ to \S+e\+\d+\)\n", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag", [["--q", "0"], ["--q", "40"], ["--N", "1"]])
 def test_compare_rejects_certification_flags_with_filter(model_file, tmp_path, capsys, flag):
     out = tmp_path / "out.csv"

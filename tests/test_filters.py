@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from robkf import (
     FilterConfig,
     ModelError,
     ModelIOError,
+    NotSPD,
     StateSpaceModel,
     certify,
     compare_filters,
     gain,
     gamma,
+    iterate_to_fixed_point,
     load_observations,
     normalize,
     run_filter,
@@ -282,7 +285,7 @@ def _counting_reweight(monkeypatch):
     calls = []
 
     def counted(config, P, theta=0.0):
-        calls.append(1)
+        calls.append(config)
         return _reweight(config, P, theta)
 
     monkeypatch.setattr(riccati, "_reweight", counted)
@@ -360,6 +363,21 @@ def test_risk_sensitive_domain_violation_at_same_step(example_model, monkeypatch
     with pytest.raises(DomainViolation):
         run_filter(example_model, config, y)
     assert len(calls) == reference_steps < y.shape[0]
+
+
+def test_reweighting_names_the_spectrum_it_rejects(example_model):
+    # past theta_max, V = P exp(theta P) grows the prediction until its
+    # eigendecomposition is indefinite, at about ±5e260 on this model
+    config = FilterConfig.risk_sensitive(1.0, 0.5)
+    runs = [lambda: run_filter(example_model, config, simulate(example_model, 20, 0).observations),
+            lambda: iterate_to_fixed_point(example_model, np.eye(2), "risk_sensitive",
+                                           tau=1.0, theta=0.5)]
+    for run in runs:
+        with pytest.raises(NotSPD) as info:
+            run()
+        low, high = map(float, re.fullmatch(r"P is not symmetric positive definite "
+                                            r"\(eigenvalues (\S+) to (\S+)\)", str(info.value)).groups())
+        assert low < -1e200 and high > 1e200
 
 
 def test_run_filter_validates_observations(example_model):
@@ -532,7 +550,7 @@ def test_bank_equals_single_runs_bit_for_bit(example_model, model):
 
 @pytest.mark.parametrize("model", ["example", 1])
 def test_all_reweighted_bank_equals_single_runs_bit_for_bit(example_model, model):
-    # no standard row: every row of the stack goes through the batched
+    # no standard row: every row of the stack is reweighted through its own
     # eigendecomposition
     model = _bank_model(example_model, model)
     _assert_bank_matches_at_every_length(model, _panel(model)[1:])
@@ -562,6 +580,23 @@ def test_bank_stops_once_every_run_has_repeated(example_model, monkeypatch):
     # the CLI's default panel: standard, then robust at c_max for tau 0, 0.5, 1
     table = compare_filters(example_model, _panel(example_model)[:4], 1000, seed=8)
     assert len(calls) == max(sum(run.cycle) for run in table.runs)
+
+
+def test_bank_reweights_every_row_through_reweight(example_model, monkeypatch):
+    steps = []
+    bank_step = riccati._bank_step
+
+    def counted(*args):
+        steps.append(1)
+        return bank_step(*args)
+
+    monkeypatch.setattr(riccati, "_bank_step", counted)
+    calls = _counting_reweight(monkeypatch)
+    # the CLI's default panel: each bank step reweights every row once, in panel order
+    configs = _panel(example_model)[:4]
+    compare_filters(example_model, configs, 1000, seed=8)
+    assert len(steps) > 1
+    assert calls == configs * len(steps)
 
 
 def test_bank_raises_for_an_out_of_domain_row(example_model):
