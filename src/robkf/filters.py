@@ -208,11 +208,11 @@ def load_observations(path) -> np.ndarray:
         text = path.read_text()
     except OSError as exc:
         raise ModelIOError(f"observations: {path} not readable") from exc
-    rows = list(csv.reader(text.splitlines()))
-    rows = [r for r in rows if r]
+    # (line number in the file, fields) of every non-blank line
+    rows = [(i, r) for i, r in enumerate(csv.reader(text.splitlines()), start=1) if r]
     if not rows:
         raise ModelIOError(f"observations: {path} is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     expected = [f"y{i}" for i in range(1, len(header) + 1)]
     if header != expected:
         raise ModelIOError(
@@ -220,11 +220,11 @@ def load_observations(path) -> np.ndarray:
         )
     p = len(header)
     data = np.zeros((len(rows) - 1, p))
-    for i, row in enumerate(rows[1:], start=2):
+    for t, (i, row) in enumerate(rows[1:]):
         if len(row) != p:
             raise ModelIOError(f"observations: line {i} has {len(row)} fields, expected {p}")
         try:
-            data[i - 2] = [float(v) for v in row]
+            data[t] = [float(v) for v in row]
         except ValueError as exc:
             raise ModelIOError(f"observations: line {i} is not numeric") from exc
     if data.size and not np.all(np.isfinite(data)):

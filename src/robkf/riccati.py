@@ -12,13 +12,16 @@ the previous step's theta. ``_bank_step`` is the one step of the
 recursions: it steps a bank of K configs of one model together, V as a
 (K, n, n) stack, with one batched gain-form step (``predict_covariance``),
 then reweights each row through ``_reweight``; a bank of one steps the
-bare n×n matrices. Each caller loops over it: ``filters.run_filter`` and
-``filters.compare_filters`` (through ``_covariance_sequence``, which
-steps the bank until every row has repeated its (V, theta) exactly, then
-copies each row's cycle), ``iterate_to_fixed_point`` and the single-step
-recursions, so a fixed point, a single step, a filter run and a run in a
-bank are the same arithmetic, and take a correlated model (B Dᵀ ≠ 0) as
-given.
+bare n×n matrices. ``_walk`` is the one loop over it: it starts every run
+at one symmetrized V with its theta_0, steps the bank, and marks each
+run's cycle, the first byte-exact repeat of its (V, theta).
+``_covariance_sequence``, behind ``filters.run_filter`` and
+``filters.compare_filters``, follows it until every run has repeated and
+then copies each run's cycle; ``iterate_to_fixed_point`` follows it until
+a step meets tol or closes the cycle; the single-step recursions call
+``_bank_step`` once. So a fixed point, a single step, a filter run and a
+run in a bank are the same arithmetic, and take a correlated model
+(B Dᵀ ≠ 0) as given.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them, and only they need B Dᵀ = 0.
@@ -28,6 +31,7 @@ guarantees contraction; see the contraction module for certificates.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -172,25 +176,54 @@ def _bank_step(model: StateSpaceModel, configs, noise, V: np.ndarray, thetas):
     return G, P, np.stack(V), thetas
 
 
+def _walk(model: StateSpaceModel, configs, V):
+    """The covariance recursions of K configs of one model, started together
+    at the conditional covariance V and stepped as one bank, without end.
+
+    Step k maps each run's state (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1},
+    theta_{k+1}) through ``_bank_step`` and reads nothing else. V_0 is V
+    symmetrized, the same for every run, and theta_0 is the risk-sensitive
+    kind's fixed theta and 0 otherwise, so the robust kind's cold first
+    step never counts as a repeat. Yields, after each step, ``_bank_step``'s
+    (G, P, V, thetas) and the list ``cycles``: entry i is None until run i's
+    state after step j + p repeats the one after step j byte for byte,
+    then (j, p) for good; from step j on the run repeats with period p.
+    A bank of one yields bare n×n matrices and a float theta. Nothing is
+    stepped before the first value is asked for.
+    """
+    K = len(configs)
+    thetas = [0.0 if config.theta is None else config.theta for config in configs]
+    V = _linalg.sym(np.broadcast_to(V, (K, *V.shape)))
+    size = V[0].nbytes
+    seen = [{(V[0].tobytes(), theta): 0} for theta in thetas]
+    cycles = [None] * K
+    if K == 1:
+        V, thetas = V[0], thetas[0]
+    noise = model.noise_covariances()
+    for k in itertools.count(1):
+        G, P, V, thetas = _bank_step(model, configs, noise, V, thetas)
+        data = V.tobytes()
+        for i, theta in enumerate(thetas if K > 1 else (thetas,)):
+            j = seen[i].setdefault((data[i * size:(i + 1) * size], theta), k)
+            if cycles[i] is None and j < k:
+                cycles[i] = (j, k - j)
+        yield G, P, V, thetas, cycles
+
+
 def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     """The covariance sides of T-step filter runs of one model, one per
-    config, all started at V_0 = model.V0 and stepped as one bank.
+    config, all started at V_0 = model.V0 and stepped as one bank by
+    ``_walk``.
 
     Returns (gains, P_seq, V_seq, theta_seq, cycles): the first four
     hold the K runs side by side on their second axis, so that run i's
     arrays, shaped as in ``filters.FilterTrajectory``, are
-    ``gains[:, i]`` and so on; cycles lists their ``cycle``. Step k of a
-    run maps (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1}, theta_{k+1}) and
-    reads nothing else, so once (V_{j+p}, theta_{j+p}) equals an earlier
-    (V_j, theta_j) byte for byte, every row of the run from step j on
-    repeats with period p, and its cycle is (j, p); it is None if no
+    ``gains[:, i]`` and so on; cycles lists their ``cycle``, None if no
     state repeats within T steps. The whole bank steps until every run
     has repeated or T steps are done; a run stepped past its repeat
     recomputes its own cycle bit for bit. The cycles are then copied
-    over the remaining steps. theta_0 is the risk-sensitive kind's fixed
-    theta and 0 otherwise, so the robust kind's cold first step never
-    counts as a repeat. Every run computes the same steps, bit for bit,
-    as it would alone.
+    over the remaining steps. Every run computes the same steps, bit for
+    bit, as it would alone.
     """
     K, n, p = len(configs), model.n, model.p
     gains = np.zeros((T, K, n, p))
@@ -199,24 +232,12 @@ def _covariance_sequence(model: StateSpaceModel, configs, T: int):
     theta_seq = np.zeros((T, K))
     cycles = [None] * K
 
-    thetas = [0.0 if config.theta is None else config.theta for config in configs]
     V_seq[0] = model.V0
-    seen = [{(model.V0.tobytes(), theta): 0} for theta in thetas]
-    size = model.V0.nbytes
-    noise = model.noise_covariances()
-    V = _linalg.sym(np.broadcast_to(model.V0, (K, n, n)))
-    if K == 1:
-        V, thetas = V[0], thetas[0]
+    walk = _walk(model, configs, model.V0)
     k = 0
     while k < T and None in cycles:
-        G, P, V, thetas = _bank_step(model, configs, noise, V, thetas)
-        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k] = G, P, V, thetas
+        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycles = next(walk)
         k += 1
-        data = V_seq[k].tobytes()
-        for i, theta in enumerate(theta_seq[k - 1].tolist()):
-            j = seen[i].setdefault((data[i * size:(i + 1) * size], theta), k)
-            if cycles[i] is None and j < k:
-                cycles[i] = (j, k - j)
     for i, cycle in enumerate(cycles):
         if cycle is None:
             continue
@@ -261,6 +282,10 @@ class FixedPointReport:
     ``theta_star`` is None for the standard stepper. ``cycle`` is (j, p)
     when the state (V, theta) after iteration j + p repeated the one after
     iteration j byte for byte, as in ``filters.FilterTrajectory``, else None.
+    ``cycle_max_step`` is the largest d_T(P_k, P_{k+1}) over the p steps of
+    that cycle, the accuracy the arithmetic allows for the model and the
+    stepper; it is None when no state repeated, or when max_iter came
+    before the step closing the cycle.
     """
 
     P_star: np.ndarray
@@ -272,6 +297,7 @@ class FixedPointReport:
     spectral_radius_closed_loop: float
     identity_residual: float
     cycle: tuple[int, int] | None
+    cycle_max_step: float | None
 
 
 def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
@@ -416,11 +442,11 @@ def iterate_to_fixed_point(
     prediction is propagated from it, then each cycle reweights it as
     ``FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)`` does in a
     filter run. The steps come from the same gain-form kernel as
-    ``filters.run_filter``, so started at model.V0 the k-th iterate is
-    row k of a filter run bit for bit. Stops when d_T(P_k, P_{k+1}) <= tol,
-    or at a cycle: once the state (V, theta) after iteration j + p repeats
-    the one after iteration j byte for byte (keyed as in
-    ``_covariance_sequence``), every later step distance repeats one
+    ``filters.run_filter``, and the same loop, ``_walk``: started at
+    model.V0 the k-th iterate is row k of a filter run bit for bit, and
+    the cycle is the run's. Stops when d_T(P_k, P_{k+1}) <= tol, or at a
+    cycle: once the state (V, theta) after iteration j + p repeats the one
+    after iteration j byte for byte, every later step distance repeats one
     already measured but for the step closing the cycle, so one more step
     decides. A period-1 cycle is an exact fixed point; its closing step is 0.
 
@@ -428,8 +454,8 @@ def iterate_to_fixed_point(
     -------
     FixedPointReport
         With the settled (P, V, theta, G), the iteration count, the last
-        step distance, the closed-loop spectral radius of A − G C, and
-        the diagnostic identity residual.
+        step distance, the closed-loop spectral radius of A − G C, the
+        diagnostic identity residual, and the cycle with its largest step.
 
     Raises
     ------
@@ -451,32 +477,24 @@ def iterate_to_fixed_point(
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     max_iter = _integer(max_iter, 1, "max_iter must be a positive integer, got {value!r}")
     V = _linalg.sym(_square(model, start, "start"))
-    th = 0.0 if config.theta is None else config.theta
     _linalg.psd_spectrum(V, "start")
 
-    noise = model.noise_covariances()
-    seen = {(V.tobytes(), th): 0}
-    P_prev: np.ndarray | None = None
-    dist = float("inf")
-    converged = False
-    cycle = None
-    for iterations in range(1, max_iter + 1):
-        V_k = V
-        G_k, P_star, V, th = _bank_step(model, (config,), noise, V_k, th)
-        if P_prev is not None:
-            try:
-                dist = _linalg.thompson_distance(P_prev, P_star)
-            except (NotSPD, DomainViolation):
-                dist = float("inf")
+    steps, P_prev, cycle = [], None, None
+    for iterations, (G_k, P_star, V_next, th, cycles) in enumerate(
+            _walk(model, (config,), V), 1):
+        V_k, V = V, V_next
+        try:
+            dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
+        except (NotSPD, DomainViolation):
+            dist = math.inf
+        steps.append(dist)
         P_prev = P_star
-        if dist <= tol:
-            converged = True
+        # a cycle found after the previous step makes this one its closing step
+        if dist <= tol or cycle is not None:
             break
-        if cycle is not None:
+        cycle = cycles[0]
+        if iterations == max_iter:
             break
-        j = seen.setdefault((V.tobytes(), th), iterations)
-        if j < iterations:
-            cycle = (j, iterations - j)
 
     G_star = gain(model, V)
     AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D
@@ -491,8 +509,10 @@ def iterate_to_fixed_point(
         spectral_radius_closed_loop=_linalg.spectral_radius(model.A - G_star @ model.C),
         identity_residual=float(residual / max(1.0, np.linalg.norm(P_star))),
         cycle=cycle,
+        cycle_max_step=(max(steps[-cycle[1]:])
+                        if cycle is not None and iterations > sum(cycle) else None),
     )
-    if not converged:
+    if not dist <= tol:
         where = (f"within {max_iter} iterations" if cycle is None else
                  f"before (V, theta) after iteration {sum(cycle)} repeated iteration "
                  f"{cycle[0]}, a cycle of period {cycle[1]}")

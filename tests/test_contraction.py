@@ -491,6 +491,8 @@ def test_downsampled_map_domain_checks(example_normalized):
     for bad_P in (np.eye(3), np.ones(2)):
         with pytest.raises(DimensionMismatch):
             downsampled_map(ds, np.zeros((6, 6)), bad_P)
+    with pytest.raises(DomainViolation, match="P⁻¹ \\+ Omega"):
+        downsampled_map(ds, np.zeros((6, 6)), -np.eye(2))
 
 
 def test_find_phi_golden(example_normalized):
@@ -661,6 +663,12 @@ def test_certify_budget_stays_finite_at_tau_one_on_the_jordan_model():
     cert = certify(precise_sensor_jordan_model(), 1.0)
     assert cert.c_max == gamma(cert.P_bar_q, cert.theta_bar, 1.0)
     assert cert.c_max == pytest.approx(1449.3466445869747, rel=1e-9)
+
+
+def test_certify_with_a_singular_p_bar_q_is_a_numeric_error():
+    # B Bᵀ = e₃e₃ᵀ has rank one, and one step from it gives rank two of three
+    with pytest.raises(NotSPD, match="P_bar_q is singular"):
+        certify(precise_sensor_jordan_model(), 0.5, q=1)
 
 
 @pytest.mark.parametrize("n, correlated", [

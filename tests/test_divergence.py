@@ -367,6 +367,11 @@ def test_solve_theta_rejects_bad_c():
         solve_theta(np.eye(2), -1.0, 0.5)
 
 
+def test_solve_theta_rejects_a_zero_covariance():
+    with pytest.raises(NotSPD, match="numerically zero"):
+        solve_theta(np.zeros((2, 2)), 1.0, 0.5)
+
+
 def test_solve_theta_tau_one_large_radius():
     theta = solve_theta(np.eye(2), 1e4, 1.0)
     assert gamma(np.eye(2), theta, 1.0) == pytest.approx(1e4, rel=1e-10)
@@ -487,6 +492,8 @@ def test_phi_upper_bound_values():
     assert phi_upper_bound(0.0, 0.5, 2.0) == 0.0
     with pytest.raises(DomainViolation):
         phi_upper_bound(1.0, 0.5, 2.0)
+    with pytest.raises(DomainViolation, match="d_bar must be positive"):
+        phi_upper_bound(0.1, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("tau", TAUS)

@@ -407,6 +407,16 @@ def test_run_filter_zero_steps(example_model):
     assert ft.cycle is None
 
 
+def test_zero_step_runs_take_no_step(example_model, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a zero-step run stepped")
+
+    monkeypatch.setattr(riccati, "_bank_step", no_step)
+    run_filter(example_model, FilterConfig.robust(0.5, 0.1), np.zeros((0, 1)))
+    compare_filters(example_model, [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1)],
+                    steps=0, seed=0)
+
+
 def test_compare_single_standard_degenerates(example_model):
     table = compare_filters(example_model, [FilterConfig.standard()], steps=20, seed=3)
     assert table.labels == ("kf",)
@@ -499,6 +509,22 @@ def test_load_observations_header_only(tmp_path):
 def test_load_observations_rejects(tmp_path, text, hint):
     with pytest.raises(ModelIOError, match=hint):
         load_observations(_write(tmp_path / "obs.csv", text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y1\n1.0\n\n2.0\nabc\n", "line 5 is not numeric"),
+    ("y1\n1.0\n\n\n2.0,3.0\n", "line 5 has 2 fields, expected 1"),
+    ("\ny1,y2\n1,2\n3\n", "line 4 has 1 fields, expected 2"),
+])
+def test_load_observations_names_the_line_in_the_file(tmp_path, text, message):
+    # blank lines are skipped but still counted
+    with pytest.raises(ModelIOError, match=message):
+        load_observations(_write(tmp_path / "obs.csv", text))
+
+
+def test_load_observations_skips_blank_lines(tmp_path):
+    got = load_observations(_write(tmp_path / "obs.csv", "\ny1\n1.0\n\n2.0\n\n"))
+    np.testing.assert_array_equal(got, [[1.0], [2.0]])
 
 
 def test_load_observations_missing_file(tmp_path):

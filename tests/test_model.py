@@ -40,6 +40,16 @@ def test_row_mismatch_rejected():
             StateSpaceModel(**{**good, name: bad})
 
 
+@pytest.mark.parametrize("A, message", [
+    ([[0.1, 1.0], [0.0]], "^A is not a rectangular numeric array"),
+    ([0.1, 1.0], "^A must be 2-dimensional"),
+])
+def test_non_matrix_rejected(A, message):
+    _, B, C, D = example_matrices()
+    with pytest.raises(DimensionMismatch, match=message):
+        StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=np.zeros(2), V0=np.eye(2))
+
+
 def test_singular_dd_rejected():
     A, B, C, _ = example_matrices()
     with pytest.raises(SingularDD):

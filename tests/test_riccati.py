@@ -293,6 +293,45 @@ def test_fixed_point_stops_once_a_cycle_above_tol_repeats(tau, c):
     assert report.final_step_distance > 1e-11
 
 
+def test_fixed_point_reports_the_largest_step_of_its_cycle():
+    # started at V0, the fixed point steps the filter run's own loop: the run
+    # repeats the same cycle, and its predictions give the cycle's p steps,
+    # d_T(P_seq[k - 1], P_seq[k]) for k = j + 1 ... j + p
+    model = precise_sensor_jordan_model()
+    with pytest.raises(MaxIterExceeded) as err:
+        iterate_to_fixed_point(model, model.V0, "robust", tau=0.5, c=1e7,
+                               tol=1e-11, max_iter=20000)
+    report = err.value.report
+    assert (report.iterations, report.cycle) == (43, (16, 26))
+    ft = run_filter(model, FilterConfig.robust(0.5, 1e7), np.zeros((50, 3)))
+    assert ft.cycle == (16, 26)
+    steps = [thompson_metric(ft.P_seq[k - 1], ft.P_seq[k]) for k in range(17, 43)]
+    assert report.cycle_max_step == max(steps) == 4.693703198376357e-09
+    assert report.final_step_distance in steps
+
+
+def test_fixed_point_stopped_before_its_cycle_closes_has_no_cycle_step():
+    # max_iter ends the iteration when the state repeats, one step before the
+    # step closing the cycle
+    model = precise_sensor_jordan_model()
+    with pytest.raises(MaxIterExceeded, match="a cycle of period 26") as err:
+        iterate_to_fixed_point(model, model.V0, "robust", tau=0.5, c=1e7,
+                               tol=1e-11, max_iter=42)
+    assert (err.value.report.cycle, err.value.report.cycle_max_step) == ((16, 26), None)
+
+
+def test_fixed_point_converging_before_a_repeat_has_no_cycle(example_normalized):
+    report = iterate_to_fixed_point(example_normalized, np.eye(2), "robust",
+                                    tau=0.5, c=0.1, tol=1e-10)
+    assert (report.cycle, report.cycle_max_step) == (None, None)
+
+
+def test_fixed_point_at_an_exact_fixed_point_has_a_zero_cycle_step():
+    model = scalar_model(a=0.0)
+    report = iterate_to_fixed_point(model, model.B @ model.B.T, tol=1e-300)
+    assert (report.cycle, report.cycle_max_step) == ((0, 1), 0.0)
+
+
 def test_fixed_point_started_at_an_exact_fixed_point_converges():
     # with A = 0 the prediction is B Bᵀ from any V: the state after the first
     # step repeats the start, and the step closing that cycle measures 0
