@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 
-from robkf.errors import DomainViolation, NotSPD
+from robkf.errors import DimensionMismatch, DomainViolation, NotSPD
 
 __all__ = [
+    "numeric",
+    "square",
     "sym",
     "finite",
     "psd_spectrum",
@@ -37,6 +39,26 @@ RANK_REL_TOL = 1e-10
 # The smallest normal double; below it a singular value has lost precision.
 _TINY = float(np.finfo(float).tiny)
 _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
+
+
+def numeric(x, what: str) -> np.ndarray:
+    """x as a float array; DimensionMismatch naming ``what`` unless x
+    converts (a string or a ragged list does not)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{what} must be a numeric array ({exc})") from exc
+
+
+def square(M, what: str, n: int | None = None) -> np.ndarray:
+    """M as a float array; DimensionMismatch naming ``what`` unless M is a
+    numeric, nonempty, square 2-D array, and n×n when n is given."""
+    M = numeric(M, what)
+    if n is not None and M.shape != (n, n):
+        raise DimensionMismatch(f"{what} must have shape ({n}, {n}), got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DimensionMismatch(f"{what} must be a nonempty square matrix, got shape {M.shape}")
+    return M
 
 
 def sym(M: np.ndarray) -> np.ndarray:

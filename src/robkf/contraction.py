@@ -56,11 +56,12 @@ def thompson_metric(P: np.ndarray, Q: np.ndarray) -> float:
     symmetric in its arguments and invariant under inversion and joint
     congruence. They come from ``tau_divergence``'s kernel, which squares
     no factor, so they may span twice the double range. Raises
-    DimensionMismatch unless P and Q have one shape, NotSPD naming P or Q
-    unless both are SPD, and DomainViolation where they span more.
+    DimensionMismatch unless P and Q are nonempty square matrices of one
+    shape, NotSPD naming P or Q unless both are SPD, and DomainViolation
+    where they span more.
     """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    P = _linalg.square(P, "P")
+    Q = _linalg.square(Q, "Q")
     if P.shape != Q.shape:
         raise DimensionMismatch(f"shape mismatch {P.shape} vs {Q.shape}")
     return _linalg.thompson_distance(P, Q)
@@ -72,10 +73,10 @@ def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
     Returns (sigma / (1 + sqrt(1 + sigma²)))² with sigma = sigma_max(L2⁻¹ M L1⁻ᵀ),
     L1 and L2 the Cholesky factors of W1 and W2. The map is a strict
     contraction, so the value lies in [0, 1); it rounds to 1.0 once sigma
-    passes about 1e16, and is 1.0 where sigma overflows. Shapes that do
-    not fit the map raise DimensionMismatch.
+    passes about 1e16, and is 1.0 where sigma overflows. Non-numeric
+    input and shapes that do not fit the map raise DimensionMismatch.
     """
-    M, W1, W2 = (np.asarray(X, dtype=float) for X in (M, W1, W2))
+    M, W1, W2 = (_linalg.numeric(X, name) for X, name in ((M, "M"), (W1, "W1"), (W2, "W2")))
     if M.ndim != 2 or W1.shape != (M.shape[1],) * 2 or W2.shape != (M.shape[0],) * 2:
         raise DimensionMismatch(f"shapes M {M.shape}, W1 {W1.shape}, W2 {W2.shape} do not fit")
     L1 = _linalg.cholesky_spd(W1, "W1")
@@ -212,22 +213,22 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
     """One application of the lifted map: alpha (P⁻¹ + Omega)⁻¹ alphaᵀ + W.
 
     ``bar_phi`` collects N per-step reweightings as an (Nn, Nn)
-    block-diagonal PSD matrix with every eigenvalue below tilde_phi_N,
-    and P is n×n (DimensionMismatch otherwise). With bar_phi = 0 the
-    result is exactly N compositions of the standard Riccati map; with
-    N identical blocks Phi it is N compositions of the fixed-Phi map.
+    block-diagonal PSD matrix with every eigenvalue below tilde_phi_N
+    (DomainViolation otherwise, for a wrong shape or a non-finite entry
+    too), and P is n×n (DimensionMismatch otherwise). With bar_phi = 0
+    the result is exactly N compositions of the standard Riccati map;
+    with N identical blocks Phi it is N compositions of the fixed-Phi map.
 
     alpha, Omega and W come from one solve with I − T bar_phi (see
     DownsampledSystem), which exists below tilde_phi_N and keeps
     singular bar_phi (zero included) exact.
     """
-    bar_phi = _linalg.sym(np.asarray(bar_phi, dtype=float))
-    P = np.asarray(P, dtype=float)
-    Nn, n = ds.T.shape[0], ds.model.n
-    if bar_phi.shape != (Nn, Nn):
-        raise DomainViolation(f"bar_phi must have shape ({Nn}, {Nn}), got {bar_phi.shape}")
-    if P.shape != (n, n):
-        raise DimensionMismatch(f"P must have shape ({n}, {n}), got {P.shape}")
+    try:
+        bar_phi = _linalg.square(bar_phi, "bar_phi", ds.T.shape[0])
+        bar_phi = _linalg.sym(_linalg.finite(bar_phi, "bar_phi"))
+    except (DimensionMismatch, NotSPD) as exc:
+        raise DomainViolation(str(exc)) from exc
+    P = _linalg.square(P, "P", ds.model.n)
     w = _linalg.eigvalsh_sym(bar_phi)
     if w[0] < -1e-10:
         raise DomainViolation(f"bar_phi must be PSD (min eigenvalue {w[0]:.3e})")

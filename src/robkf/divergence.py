@@ -60,18 +60,21 @@ _SERIES_ORDER = 18
 
 @dataclass(frozen=True)
 class GaussianDensity:
-    """Gaussian with the given mean vector and SPD covariance."""
+    """Gaussian with the given nonempty mean vector and SPD covariance.
+
+    DimensionMismatch unless the mean is a numeric vector (a scalar reads
+    as one entry) and cov a numeric matrix of its size; DomainViolation
+    for a non-finite mean; NotSPD for a cov that is not SPD.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise DimensionMismatch(
-                f"mean shape {mean.shape} and cov shape {cov.shape} are inconsistent"
-            )
+        mean = np.atleast_1d(_linalg.numeric(self.mean, "mean"))
+        if mean.ndim != 1:
+            raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
+        cov = _linalg.square(self.cov, "cov", mean.size)
         if not np.isfinite(mean).all():
             raise DomainViolation("mean has non-finite entries")
         _linalg.cholesky_spd(cov, "cov")
@@ -113,18 +116,11 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _square(P: np.ndarray) -> np.ndarray:
-    """P as a float array; DimensionMismatch unless square and nonempty."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
-        raise DimensionMismatch(f"P must be a nonempty square matrix, got shape {P.shape}")
-    return P
-
-
 def _psd_spectrum(P: np.ndarray, eig=_linalg.eigvalsh_sym) -> np.ndarray:
     """Ascending eigenvalues of the square P (by ``eig``) clipped at zero; NotSPD
     unless P is finite and not clearly indefinite."""
-    w = _linalg.psd_spectrum(_square(P), "P", "P has a negative eigenvalue ({low:.3e})", eig)
+    w = _linalg.psd_spectrum(_linalg.square(P, "P"), "P",
+                             "P has a negative eigenvalue ({low:.3e})", eig)
     return np.clip(w, 0.0, None)
 
 
@@ -380,7 +376,7 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
-    P = _linalg.sym(_linalg.finite(_square(P), "P"))
+    P = _linalg.sym(_linalg.finite(_linalg.square(P, "P"), "P"))
     if theta == 0.0:
         return P
     w, U = _positive_eigh(P)
@@ -394,10 +390,8 @@ def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     DimensionMismatch unless P is square and V has its shape. The
     result is PSD, and PD whenever the ordering is strict.
     """
-    P = _square(P)
-    V = np.asarray(V, dtype=float)
-    if P.shape != V.shape:
-        raise DimensionMismatch(f"P shape {P.shape} != V shape {V.shape}")
+    P = _linalg.square(P, "P")
+    V = _linalg.square(V, "V", P.shape[0])
     gap_min = _linalg.eigvalsh_sym(V - P)[0]
     if gap_min < -1e-10:
         raise NotOrdered(f"V does not dominate P (min eig of V-P is {gap_min:.3e})")

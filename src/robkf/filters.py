@@ -13,14 +13,14 @@ riccati module, which the fixed-point iteration shares; ``FilterConfig``
 is exported by ``robkf.riccati`` and ``robkf``, not by this module.
 ``compare_filters`` runs its configs as one filter bank and
 ``run_filter`` is the bank of one. The covariance side reads no
-observation, so the bank takes it whole from
-``riccati._covariance_sequence``, which steps all configs together, one
-``riccati._bank_step`` per step, each run reweighted by
-``riccati._reweight`` as alone, until every run has repeated and then
-copies each run's cycle. The bank runs only the state updates, in the
-closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
-A - G_k C and G_k y_k formed in one batch and one stacked product per
-step. A run in a bank equals the run of its config alone bit for bit.
+observation, so the bank computes it first: ``riccati._walk`` steps all
+configs together, one ``riccati._bank_step`` per step, each run
+reweighted by ``riccati._reweight`` as alone, until every run has
+repeated, and the bank then copies each run's cycle over the remaining
+steps. The state updates follow, in the closed-loop form
+xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
+G_k y_k formed in one batch and one stacked product per step. A run in
+a bank equals the run of its config alone bit for bit.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from robkf.errors import ConfigError, DimensionMismatch, ModelError, ModelIOError
 from robkf.model import StateSpaceModel, Trajectory, simulate
-from robkf.riccati import FilterConfig, _covariance_sequence
+from robkf.riccati import FilterConfig, _walk
 
 __all__ = [
     "FilterTrajectory",
@@ -101,12 +101,16 @@ def run_filter(
 def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
     """Run every config over the (T, p) observations as one filter bank.
 
-    ``riccati._covariance_sequence`` steps the covariance sides together;
-    the state updates then advance together, in the closed-loop form
-    xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-    G_k y_k formed in one batch and one stacked product per step (bare
-    matrices for a bank of one). Every run equals, bit for bit, the run
-    of its config alone.
+    The covariance sides step together through ``riccati._walk`` until
+    every run has repeated or T steps are done, into (T, K, ...) arrays
+    that hold the K runs side by side on their second axis; a run
+    stepped past its repeat recomputes its own cycle bit for bit. Each
+    cycle (see ``FilterTrajectory``) is then copied over the remaining
+    steps. The state updates advance together after that, in the
+    closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
+    A - G_k C and G_k y_k formed in one batch and one stacked product per
+    step (bare matrices for a bank of one). Every run equals, bit for bit,
+    the run of its config alone.
     """
     for config in configs:
         if not isinstance(config, FilterConfig):
@@ -121,7 +125,23 @@ def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
     if y.size and not np.all(np.isfinite(y)):
         raise ModelError("observations contain non-finite values")
     (K, T), n = (len(configs), y.shape[0]), model.n
-    gains, P_seq, V_seq, theta_seq, cycles = _covariance_sequence(model, configs, T)
+    gains = np.zeros((T, K, n, model.p))
+    P_seq = np.zeros((T, K, n, n))
+    V_seq = np.zeros((T + 1, K, n, n))
+    theta_seq = np.zeros((T, K))
+    cycles = [None] * K
+    V_seq[0] = model.V0
+    walk = _walk(model, configs, model.V0)
+    k = 0
+    while k < T and None in cycles:
+        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycles = next(walk)
+        k += 1
+    for i, cycle in enumerate(cycles):
+        if cycle is not None:
+            j, period = cycle
+            replay = j + (np.arange(k, T) - j) % period
+            for seq in (gains, P_seq, V_seq[1:], theta_seq):
+                seq[k:, i] = seq[replay, i]
     F = model.A - gains @ model.C
     b = gains @ y[:, None, :, None]
     if K == 1:  # a bank of one steps bare vectors, faster to the same bits

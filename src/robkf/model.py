@@ -23,6 +23,7 @@ from robkf import _linalg
 from robkf.errors import (
     ConfigError,
     DimensionMismatch,
+    DomainViolation,
     ModelError,
     ModelIOError,
     NotObservable,
@@ -272,20 +273,29 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     x₀ is drawn as x0_mean + L z with L the lower Cholesky factor of V0
     and z standard normal; each step then draws v_k ~ N(0, I_m). The
     result is a deterministic function of (model, steps, seed). A steps
-    or seed that is not a nonnegative integer raises ConfigError.
+    or seed that is not a nonnegative integer raises ConfigError. A state
+    or observation that leaves the double range, as an unstable model's
+    does over enough steps, raises DomainViolation; for a state, the
+    message names it.
     """
     steps = _integer(steps, 0, "steps must be a nonnegative integer, got {value!r}")
     seed = _integer(seed, 0, "seed must be a nonnegative integer, got {value!r}")
     rng = np.random.default_rng(seed)
     L0 = _linalg.cholesky_spd(model.V0, "V0")
-    x = model.x0_mean + L0 @ rng.standard_normal(model.n)
+    states = np.empty((steps, model.n))
+    states[:1] = model.x0_mean + L0 @ rng.standard_normal(model.n)  # no row when steps is 0
     v = rng.standard_normal((steps, model.m, 1))
     Bv = (model.B @ v)[:, :, 0]
-    states = np.empty((steps, model.n))
-    for k in range(steps):
-        states[k] = x
-        x = model.A @ x + Bv[k]
-    observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for k in range(1, steps):
+                states[k] = model.A @ states[k - 1] + Bv[k - 1]
+        except FloatingPointError as exc:
+            raise DomainViolation(f"simulated state x_{k} leaves the double range ({exc})") from exc
+        try:
+            observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
+        except FloatingPointError as exc:
+            raise DomainViolation(f"simulated observations leave the double range ({exc})") from exc
     return Trajectory(states=states, observations=observations, seed=seed)
 
 

@@ -14,14 +14,13 @@ recursions: it steps a bank of K configs of one model together, V as a
 then reweights each row through ``_reweight``; a bank of one steps the
 bare n×n matrices. ``_walk`` is the one loop over it: it starts every run
 at one symmetrized V with its theta_0, steps the bank, and marks each
-run's cycle, the first byte-exact repeat of its (V, theta).
-``_covariance_sequence``, behind ``filters.run_filter`` and
-``filters.compare_filters``, follows it until every run has repeated and
-then copies each run's cycle; ``iterate_to_fixed_point`` follows it until
-a step meets tol or closes the cycle; the single-step recursions call
-``_bank_step`` once. So a fixed point, a single step, a filter run and a
-run in a bank are the same arithmetic, and take a correlated model
-(B Dᵀ ≠ 0) as given.
+run's cycle, the first byte-exact repeat of its (V, theta). A filter run
+(``filters._run_bank``) follows it until every run has repeated, and
+stores and replays the steps itself; ``iterate_to_fixed_point`` follows
+it until a step meets tol or closes the cycle; the single-step
+recursions call ``_bank_step`` once. So a fixed point, a single step, a
+filter run and a run in a bank are the same arithmetic, and take a
+correlated model (B Dᵀ ≠ 0) as given.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them, and only they need B Dᵀ = 0.
@@ -49,7 +48,6 @@ from robkf.divergence import (
 )
 from robkf.errors import (
     ConfigError,
-    DimensionMismatch,
     DomainViolation,
     MaxIterExceeded,
     NotSPD,
@@ -188,8 +186,9 @@ def _walk(model: StateSpaceModel, configs, V):
     (G, P, V, thetas) and the list ``cycles``: entry i is None until run i's
     state after step j + p repeats the one after step j byte for byte,
     then (j, p) for good; from step j on the run repeats with period p.
-    A bank of one yields bare n×n matrices and a float theta. Nothing is
-    stepped before the first value is asked for.
+    Each cycle is logged at debug level when found. A bank of one yields
+    bare n×n matrices and a float theta. Nothing is stepped before the
+    first value is asked for.
     """
     K = len(configs)
     thetas = [0.0 if config.theta is None else config.theta for config in configs]
@@ -207,50 +206,9 @@ def _walk(model: StateSpaceModel, configs, V):
             j = seen[i].setdefault((data[i * size:(i + 1) * size], theta), k)
             if cycles[i] is None and j < k:
                 cycles[i] = (j, k - j)
+                log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
+                          "(period %d)", configs[i].kind, k, j, k - j)
         yield G, P, V, thetas, cycles
-
-
-def _covariance_sequence(model: StateSpaceModel, configs, T: int):
-    """The covariance sides of T-step filter runs of one model, one per
-    config, all started at V_0 = model.V0 and stepped as one bank by
-    ``_walk``.
-
-    Returns (gains, P_seq, V_seq, theta_seq, cycles): the first four
-    hold the K runs side by side on their second axis, so that run i's
-    arrays, shaped as in ``filters.FilterTrajectory``, are
-    ``gains[:, i]`` and so on; cycles lists their ``cycle``, None if no
-    state repeats within T steps. The whole bank steps until every run
-    has repeated or T steps are done; a run stepped past its repeat
-    recomputes its own cycle bit for bit. The cycles are then copied
-    over the remaining steps. Every run computes the same steps, bit for
-    bit, as it would alone.
-    """
-    K, n, p = len(configs), model.n, model.p
-    gains = np.zeros((T, K, n, p))
-    P_seq = np.zeros((T, K, n, n))
-    V_seq = np.zeros((T + 1, K, n, n))
-    theta_seq = np.zeros((T, K))
-    cycles = [None] * K
-
-    V_seq[0] = model.V0
-    walk = _walk(model, configs, model.V0)
-    k = 0
-    while k < T and None in cycles:
-        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycles = next(walk)
-        k += 1
-    for i, cycle in enumerate(cycles):
-        if cycle is None:
-            continue
-        j, period = cycle
-        log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
-                  "(period %d); copying the last %d of %d steps", configs[i].kind,
-                  j + period, j, period, T - k, T)
-        replay = j + (np.arange(k, T) - j) % period
-        gains[k:, i] = gains[replay, i]
-        P_seq[k:, i] = P_seq[replay, i]
-        V_seq[k + 1:, i] = V_seq[replay + 1, i]
-        theta_seq[k:, i] = theta_seq[replay, i]
-    return gains, P_seq, V_seq, theta_seq, cycles
 
 
 @dataclass(frozen=True)
@@ -300,13 +258,6 @@ class FixedPointReport:
     cycle_max_step: float | None
 
 
-def _square(model: StateSpaceModel, M, what: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (model.n, model.n):
-        raise DimensionMismatch(f"{what} must have shape ({model.n}, {model.n}), got {M.shape}")
-    return M
-
-
 def _observation_information(model: StateSpaceModel) -> np.ndarray:
     DDt = model.D @ model.D.T
     return _linalg.sym(model.C.T @ _linalg.solve_spd(DDt, model.C, "D Dᵀ"))
@@ -325,17 +276,20 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
 
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
-    """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹."""
-    return _gain_and_prediction(model, np.asarray(V, dtype=float), model.noise_covariances())[0]
+    """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹; DimensionMismatch
+    unless V is n×n."""
+    return _gain_and_prediction(model, _linalg.square(V, "V", model.n),
+                                model.noise_covariances())[0]
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Gain-form covariance propagation A V Aᵀ − G S Gᵀ + B Bᵀ.
 
     Algebraically identical to ``standard_riccati`` on uncorrelated
-    models but valid for singular V and for B Dᵀ ≠ 0.
+    models but valid for singular V and for B Dᵀ ≠ 0. DimensionMismatch
+    unless V is n×n.
     """
-    V = _linalg.sym(np.asarray(V, dtype=float))
+    V = _linalg.sym(_linalg.square(V, "V", model.n))
     return _gain_and_prediction(model, V, model.noise_covariances())[1]
 
 
@@ -345,9 +299,10 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
     Singular PSD inputs are handed to the gain form ``predict_covariance``,
     the same map on uncorrelated models, so the map can be started at B Bᵀ.
+    A P that is not n×n raises DimensionMismatch.
     """
     _require_uncorrelated(model)
-    P = np.asarray(P, dtype=float)
+    P = _linalg.square(P, "P", model.n)
     try:
         Pi = _linalg.inv_spd(P, "P")
     except NotSPD:
@@ -362,11 +317,12 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 
     Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
     Raises DomainViolation when P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C is not positive
-    definite (the map is undefined there).
+    definite (the map is undefined there), and DimensionMismatch unless
+    P and Phi are n×n.
     """
     _require_uncorrelated(model)
-    P = np.asarray(P, dtype=float)
-    Phi = _linalg.sym(np.asarray(Phi, dtype=float))
+    P = _linalg.square(P, "P", model.n)
+    Phi = _linalg.sym(_linalg.square(Phi, "Phi", model.n))
     Pi = _linalg.inv_spd(P, "P")
     core = Pi - Phi + _observation_information(model)
     try:
@@ -380,7 +336,7 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
     """Reweight P into V_in, then take one step of the recursion from V_in."""
-    V_in, theta_in = _reweight(config, _linalg.sym(_square(model, P, "P")))
+    V_in, theta_in = _reweight(config, _linalg.sym(_linalg.square(P, "P", model.n)))
     G, P_next, V, theta = _bank_step(model, (config,), model.noise_covariances(), V_in, theta_in)
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
@@ -476,7 +432,7 @@ def iterate_to_fixed_point(
     if not _as_float(tol) > 0.0:
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     max_iter = _integer(max_iter, 1, "max_iter must be a positive integer, got {value!r}")
-    V = _linalg.sym(_square(model, start, "start"))
+    V = _linalg.sym(_linalg.square(start, "start", model.n))
     _linalg.psd_spectrum(V, "start")
 
     steps, P_prev, cycle = [], None, None

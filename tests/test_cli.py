@@ -211,6 +211,27 @@ def test_certify_overflowing_lifted_build_exits_3(tmp_path, capsys):
         "error: block innovation covariance has non-finite entries")
 
 
+@pytest.mark.parametrize("command", [["compare"], ["run", "--kind", "standard"]])
+def test_simulating_past_the_double_range_exits_3(model_file, capsys, command):
+    assert main([*command, "--model", model_file, "--steps", "4000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: simulated state x_3895 leaves the double range \(.*\)\n",
+                        captured.err)
+
+
+def test_simulated_observations_past_the_double_range_exit_3(model_file, capsys):
+    # C scaled by 1e10 takes C x past the largest double while every state stays finite
+    payload = json.loads(Path(model_file).read_text())
+    payload["C"] = (1e10 * np.asarray(payload["C"])).tolist()
+    Path(model_file).write_text(json.dumps(payload))
+    assert main(["run", "--kind", "standard", "--model", model_file, "--steps", "3800"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: simulated observations leave the double range \(.*\)\n",
+                        captured.err)
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, robkf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -82,6 +82,9 @@ def test_thompson_metric_rejects_bad_input():
         thompson_metric(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         thompson_metric(np.eye(2), np.eye(3))
+    for bad in (np.ones((2, 3)), np.ones(2), np.zeros((0, 0)), "ab"):
+        with pytest.raises(DimensionMismatch, match="^P must be"):
+            thompson_metric(bad, bad)
 
 
 def test_contraction_bound_values():
@@ -99,11 +102,20 @@ def test_contraction_bound_values():
     assert contraction_bound(1e308 * np.ones((2, 2)), np.eye(2), np.eye(2)) == 1.0
 
 
+def test_contraction_bound_maps_between_cones_of_two_sizes():
+    # M (2, 3) maps the 3×3 cone to the 2×2 one; sigma_max(ones(2, 3)) = sqrt(6)
+    sigma = np.sqrt(6.0)
+    want = (sigma / (1.0 + np.sqrt(7.0))) ** 2
+    assert contraction_bound(np.ones((2, 3)), np.eye(3), np.eye(2)) == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("M,W1,W2", [
     (np.eye(2), np.eye(3), np.eye(2)),
     (np.eye(2), np.eye(2), np.eye(3)),
     (np.ones((2, 3)), np.eye(2), np.eye(2)),
     (np.ones(2), np.eye(2), np.eye(2)),
+    ("ab", np.eye(2), np.eye(2)),
+    (np.eye(2), np.eye(2), "ab"),
 ])
 def test_contraction_bound_shape_mismatch(M, W1, W2):
     with pytest.raises(DimensionMismatch):
@@ -488,7 +500,10 @@ def test_downsampled_map_domain_checks(example_normalized):
         downsampled_map(ds, -1e-6 * np.eye(6), P)
     with pytest.raises(DomainViolation):
         downsampled_map(ds, np.zeros((4, 4)), P)
-    for bad_P in (np.eye(3), np.ones(2)):
+    for bad_phi in (np.zeros(6), np.full((6, 6), np.nan), "ab"):
+        with pytest.raises(DomainViolation, match="^bar_phi"):
+            downsampled_map(ds, bad_phi, P)
+    for bad_P in (np.eye(3), np.ones(2), "ab"):
         with pytest.raises(DimensionMismatch):
             downsampled_map(ds, np.zeros((6, 6)), bad_P)
     with pytest.raises(DomainViolation, match="P⁻¹ \\+ Omega"):

@@ -458,6 +458,12 @@ _NAN_ENTRY = np.array([[1.0, np.nan], [np.nan, 1.0]])
     (phi_gap, (np.ones(2), np.ones(2)), DimensionMismatch),
     (phi_gap, (np.ones((2, 3)), np.ones((2, 3))), DimensionMismatch),
     (phi_gap, (np.eye(2), np.eye(3)), DimensionMismatch),
+    (phi_gap, ("ab", np.eye(2)), DimensionMismatch),
+    (gamma, ("ab", 0.1, 0.5), DimensionMismatch),
+    (v_update, ("ab", 0.1, 0.5), DimensionMismatch),
+    (GaussianDensity, (np.zeros(2), "ab"), DimensionMismatch),
+    (GaussianDensity, ("ab", np.eye(2)), DimensionMismatch),
+    (GaussianDensity, (np.zeros(0), np.zeros((0, 0))), DimensionMismatch),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_divergence_inputs_raise_typed_errors(function, args, error):
     with pytest.raises(error):

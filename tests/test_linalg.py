@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robkf import GaussianDensity, NotSPD, tau_divergence, thompson_metric
-from robkf._linalg import cholesky_spd, is_spd
+from robkf import DimensionMismatch, GaussianDensity, NotSPD, tau_divergence, thompson_metric
+from robkf._linalg import cholesky_spd, is_spd, square
 
 
 def test_non_finite_matrix_is_not_spd():
@@ -12,6 +12,24 @@ def test_non_finite_matrix_is_not_spd():
         cholesky_spd(M, "M")
     assert not is_spd(M)
     assert not is_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_square_takes_nonempty_numeric_square_matrices():
+    M = square([[1, 2], [3, 4]], "M", 2)
+    assert M.dtype == float and M.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for bad, n, message in [
+        ("ab", None, "M must be a numeric array"),
+        ([[1.0], [1.0, 2.0]], None, "M must be a numeric array"),
+        (np.ones(2), None, "M must be a nonempty square matrix, got shape (2,)"),
+        (np.ones((2, 3)), None, "M must be a nonempty square matrix, got shape (2, 3)"),
+        (np.ones((3, 2, 2)), None, "M must be a nonempty square matrix, got shape (3, 2, 2)"),
+        (np.zeros((0, 0)), None, "M must be a nonempty square matrix, got shape (0, 0)"),
+        (np.zeros((0, 0)), 0, "M must be a nonempty square matrix, got shape (0, 0)"),
+        (np.eye(3), 2, "M must have shape (2, 2), got (3, 3)"),
+    ]:
+        with pytest.raises(DimensionMismatch) as info:
+            square(bad, "M", n)
+        assert str(info.value).startswith(message)
 
 
 def _pencil(rng, n, cond):

@@ -6,6 +6,7 @@ import pytest
 from robkf import (
     ConfigError,
     DimensionMismatch,
+    DomainViolation,
     ModelError,
     ModelIOError,
     NormalizedModel,
@@ -253,6 +254,30 @@ def test_simulate_matches_per_step_draws_bit_for_bit(example_model, model, steps
         model = random_model(np.random.default_rng(seed), n=n, p=p, correlated=correlated)
     traj = simulate(model, steps, seed=21)
     states, observations = _reference_simulation(model, steps, seed=21)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.observations.tobytes() == observations.tobytes()
+
+
+def test_simulate_past_the_double_range_raises_domain_violation(example_model):
+    # the example's eigenvalue 1.2 carries its seed-0 state past the largest
+    # double at x_3895; tier-1 turns numpy's RuntimeWarning into a failure
+    with pytest.raises(DomainViolation, match=r"^simulated state x_3895 leaves the double range"):
+        simulate(example_model, 4000, seed=0)
+
+
+def test_simulated_observations_past_the_double_range_raise_domain_violation(example_model):
+    # at 3800 steps the states stay finite (see below), but C scaled by 1e10 takes C x past
+    # the largest double
+    model = StateSpaceModel(A=example_model.A, B=example_model.B, C=1e10 * example_model.C,
+                            D=example_model.D, x0_mean=example_model.x0_mean, V0=example_model.V0)
+    with pytest.raises(DomainViolation, match=r"^simulated observations leave the double range"):
+        simulate(model, 3800, seed=0)
+
+
+def test_simulate_near_the_double_range_matches_per_step_draws(example_model):
+    traj = simulate(example_model, 3800, seed=0)
+    states, observations = _reference_simulation(example_model, 3800, seed=0)
+    assert np.abs(traj.states).max() > 1e298
     assert traj.states.tobytes() == states.tobytes()
     assert traj.observations.tobytes() == observations.tobytes()
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -458,6 +460,32 @@ def test_fixed_point_start_must_be_psd(example_normalized):
         iterate_to_fixed_point(model, np.full((2, 2), np.nan))
     report = iterate_to_fixed_point(model, np.zeros((2, 2)), tol=1e-12)
     assert thompson_metric(report.P_star, dare(model)) <= 1e-10
+
+
+@pytest.mark.parametrize("function,args", [
+    (standard_riccati, (np.eye(3),)),
+    (standard_riccati, (np.ones(2),)),
+    (risk_sensitive_map, (np.eye(2), np.eye(3))),
+    (gain, (np.eye(3),)),
+    (gain, (np.ones((3, 2, 2)),)),
+    (gain, ("ab",)),
+    (predict_covariance, (np.eye(3),)),
+    (predict_covariance, (np.ones((3, 2, 2)),)),
+    (robust_step, ("ab", 0.05, 0.5)),
+    (iterate_to_fixed_point, ("ab",)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_matrix_arguments_must_be_numeric_n_by_n(example_normalized, function, args):
+    with pytest.raises(DimensionMismatch):
+        function(example_normalized, *args)
+
+
+def test_fixed_point_logs_the_repeat_closing_its_cycle(caplog):
+    model = precise_sensor_jordan_model()
+    with caplog.at_level(logging.DEBUG, logger="robkf.riccati"), \
+            pytest.raises(MaxIterExceeded) as info:
+        iterate_to_fixed_point(model, model.V0, "robust", tau=0.5, c=1e7, tol=1e-11)
+    j, period = info.value.report.cycle
+    assert f"(V, theta)_{j + period} repeats (V, theta)_{j} (period {period})" in caplog.text
 
 
 def test_single_steps_reject_wrong_shape(example_normalized):
