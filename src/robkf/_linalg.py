@@ -1,15 +1,32 @@
-"""Small dense linear-algebra helpers shared across modules.
+"""Small dense linear-algebra helpers shared across modules, and the one
+module of the package that calls LAPACK.
 
 Everything assumes modest dimensions (a few hundred at most); dense
 factorizations throughout, no structured solvers.
+
+The Cholesky factorizations, solves and symmetric eigendecompositions go
+straight to numpy's own LAPACK gufuncs (``cholesky_lo``, ``solve``/``solve1``,
+``eigh_lo``, ``eigvalsh_lo``), the kernels ``numpy.linalg`` calls, so every
+result is numpy.linalg's bit for bit. What is skipped is the wrapper around
+them: on the 2-6 wide matrices of a filter step it costs 3-5 µs per call
+(array conversion, the square check, dtype resolution, result wrapping)
+against about 1 µs for the kernel. Each call runs under the floating-point
+flags numpy.linalg sets, except that a failed factorization, which the
+kernel signals by the invalid flag, raises FloatingPointError, not
+numpy.linalg's LinAlgError; the seam maps it to NotSPD (a Cholesky that
+fails, a solve that LU finds singular) or NumericError (an
+eigendecomposition that does not converge). SVD, general eigenvalues and
+norms stay on ``numpy.linalg``: numpy renamed its SVD gufuncs between 1.x
+and 2.x.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
-from robkf.errors import DimensionMismatch, DomainViolation, NotSPD
+from robkf.errors import DimensionMismatch, DomainViolation, NotSPD, NumericError
 
 __all__ = [
     "numeric",
@@ -20,9 +37,11 @@ __all__ = [
     "cholesky_spd",
     "solve_spd",
     "solve_symmetric_spd",
+    "solve",
     "inv_spd",
     "is_spd",
     "eigvalsh_sym",
+    "eigh",
     "eigh_sym",
     "spectral_radius",
     "log_eigenvalues",
@@ -77,18 +96,35 @@ def finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     return M
 
 
+def _lapack_flags() -> np.errstate:
+    """numpy.linalg's floating-point flags around a LAPACK gufunc, with the
+    invalid flag, by which the gufunc reports a failed factorization, raised
+    as FloatingPointError."""
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of the exactly symmetric M, or NotSPD."""
-    finite(M, what)
+    """Lower Cholesky factor of the exactly symmetric, finite M (or of each
+    matrix of a stack), or NotSPD; called under ``_lapack_flags``."""
     try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
+        return _lapack.cholesky_lo(M, signature="d->d")
+    except FloatingPointError as exc:
         raise NotSPD(f"{what} is not symmetric positive definite") from exc
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A⁻¹ B by LU, the gufunc numpy.linalg.solve picks for a vector or a
+    matrix B; called under ``_lapack_flags``."""
+    if B.ndim == 1:
+        return _lapack.solve1(A, B, signature="dd->d")
+    return _lapack.solve(A, B, signature="dd->d")
 
 
 def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of the symmetrized input, or NotSPD."""
-    return _cholesky(sym(M), what)
+    M = finite(sym(M), what)
+    with _lapack_flags():
+        return _cholesky(M, what)
 
 
 def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -97,17 +133,35 @@ def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def solve_symmetric_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """``solve_spd`` for an M that is already exactly symmetric.
+    """``solve_spd`` for an M that is already exactly symmetric; M and B may
+    be stacks of matrices.
 
     Cholesky checks M, then one LU solve (numpy has no triangular solve,
-    and one general solve beats two on the factor). An M that passes the
-    Cholesky check but that LU still finds singular raises NotSPD too.
+    and one general solve beats two on the factor), both under one entry
+    of the floating-point flags (see the module docstring): this is the
+    innovation solve of every filter step. An M that is not finite or
+    fails the Cholesky check raises NotSPD, and so does one that passes
+    it but that LU still finds singular.
     """
-    _cholesky(M, what)
-    try:
-        return np.linalg.solve(M, B)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(f"{what} is numerically singular") from exc
+    finite(M, what)
+    with _lapack_flags():
+        _cholesky(M, what)
+        try:
+            return _solve(M, B)
+        except FloatingPointError as exc:
+            raise NotSPD(f"{what} is numerically singular") from exc
+
+
+def solve(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """A⁻¹ B by LU for a square A and a vector or matrix B, as
+    numpy.linalg.solve, or NotSPD if LU finds A singular. Its callers' A
+    are Cholesky factors, which are singular where the factored matrix
+    is, or map the error to their own."""
+    with _lapack_flags():
+        try:
+            return _solve(A, B)
+        except FloatingPointError as exc:
+            raise NotSPD(f"{what} is numerically singular") from exc
 
 
 def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -123,13 +177,28 @@ def is_spd(M: np.ndarray) -> bool:
 
 
 def eigvalsh_sym(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized input."""
-    return np.linalg.eigvalsh(sym(M))
+    """Ascending eigenvalues of the symmetrized input; NumericError if LAPACK
+    does not converge."""
+    with _lapack_flags():
+        try:
+            return _lapack.eigvalsh_lo(sym(M), signature="d->d")
+        except FloatingPointError as exc:
+            raise NumericError("symmetric eigenvalues did not converge") from exc
+
+
+def eigh(M: np.ndarray):
+    """Eigendecomposition (w ascending, U orthogonal) of the exactly symmetric
+    M, from its lower triangle; NumericError if LAPACK does not converge."""
+    with _lapack_flags():
+        try:
+            return _lapack.eigh_lo(M, signature="d->dd")
+        except FloatingPointError as exc:
+            raise NumericError("symmetric eigendecomposition did not converge") from exc
 
 
 def eigh_sym(M: np.ndarray):
-    """Eigendecomposition (w ascending, U orthogonal) of the symmetrized input."""
-    return np.linalg.eigh(sym(M))
+    """``eigh`` of the symmetrized input."""
+    return eigh(sym(M))
 
 
 def psd_spectrum(M: np.ndarray, what: str, indefinite: str = _INDEFINITE,
@@ -172,7 +241,7 @@ def log_eigenvalues(P: np.ndarray, Q: np.ndarray) -> list[float]:
     h = int((eq - ep).max() + (eq - ep).min()) // 4
     L_P = np.ldexp(cholesky_spd(P, "P"), h - h // 2)
     L_Q = np.ldexp(cholesky_spd(Q, "Q"), -(h // 2))
-    s = np.linalg.svd(np.linalg.solve(L_P, L_Q), compute_uv=False).tolist()
+    s = np.linalg.svd(solve(L_P, L_Q, "P"), compute_uv=False).tolist()
     if not _TINY <= s[-1] <= s[0] < math.inf:
         raise DomainViolation("the covariance ratio spans more than twice the double range")
     return [2.0 * (h * math.log(2.0) + math.log(x)) for x in s]

@@ -83,7 +83,7 @@ def contraction_bound(M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> float:
     L2 = _linalg.cholesky_spd(W2, "W2")
     if not M.size:
         return 0.0
-    X = np.linalg.solve(L1, np.linalg.solve(L2, M).T)  # (L2⁻¹ M L1⁻ᵀ)ᵀ
+    X = _linalg.solve(L1, _linalg.solve(L2, M, "W2").T, "W1")  # (L2⁻¹ M L1⁻ᵀ)ᵀ
     if not np.isfinite(X).all():
         return 1.0
     sigma = float(np.linalg.svd(X, compute_uv=False)[0])
@@ -186,7 +186,7 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
     J_N = powers_matrix(model, N) - L_N @ H_N.T @ G_inv_O
     L_Z = _linalg.cholesky_spd(
         np.eye(N * r) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
-    Y = np.linalg.solve(L_Z, L_N.T)
+    Y = _linalg.solve(L_Z, L_N.T, "Z")
     T = Y.T @ Y  # one symmetric product: exactly symmetric and PSD
     t_max = _linalg.eigvalsh_sym(T)[-1]
     tilde_phi_N = 1.0 / t_max if t_max > 0.0 else float("inf")
@@ -202,7 +202,7 @@ def _map_blocks(ds: DownsampledSystem, bar_phi: np.ndarray):
     from one solve against I − T bar_phi (see DownsampledSystem)."""
     n, A = ds.model.n, ds.model.A
     K = np.eye(ds.T.shape[0]) - ds.T @ bar_phi
-    Y = np.linalg.solve(K, np.hstack([ds.J_N, ds.T[:, :n]]))
+    Y = _linalg.solve(K, np.hstack([ds.J_N, ds.T[:, :n]]), "I − T bar_phi")
     alpha = A @ Y[:n, :n]
     Omega = _linalg.sym(ds.Omega_N - ds.J_N.T @ bar_phi @ Y[:, :n])
     W = _linalg.sym(ds.model.B @ ds.model.B.T + A @ Y[:n, n:] @ A.T)
@@ -238,7 +238,7 @@ def downsampled_map(ds: DownsampledSystem, bar_phi: np.ndarray, P: np.ndarray) -
         )
     try:
         alpha, Omega, W = _map_blocks(ds, bar_phi)
-    except np.linalg.LinAlgError as exc:
+    except NotSPD as exc:
         raise DomainViolation(f"lifted map undefined for this bar_phi: {exc}") from exc
     try:
         X = _linalg.inv_spd(_linalg.inv_spd(P, "P") + Omega, "P⁻¹ + Omega")
@@ -278,7 +278,7 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")
     except NotSPD as exc:
         raise SearchFailed(f"Omega_N is singular at N={ds.N}; no phi > 0 is feasible") from exc
-    X = np.linalg.solve(L, ds.J_N.T)
+    X = _linalg.solve(L, ds.J_N.T, "Omega_N")
     t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
     phi = (1.0 - _PHI_EDGE) / t_max
     log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", phi, ds.tilde_phi_N)

@@ -128,7 +128,7 @@ def _positive_eigh(P: np.ndarray):
     """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD,
     naming its lowest and highest eigenvalue, unless P is finite and
     positive definite."""
-    w, U = np.linalg.eigh(_linalg.finite(P, "P"))
+    w, U = _linalg.eigh(_linalg.finite(P, "P"))
     if not w[0] > 0.0:
         raise NotSPD(f"P is not symmetric positive definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
     return w, U
@@ -167,12 +167,12 @@ def _g(u: float, tau: float, coef: tuple[float, ...]) -> tuple[float, float]:
         return math.inf, math.inf
 
 
-def _gamma_and_slope(d: list[float], theta: float, tau: float) -> tuple[float, float]:
+def _gamma_and_slope(d: list[float], theta: float, tau: float,
+                     coef: tuple[float, ...]) -> tuple[float, float]:
     """gamma(P, theta, tau) and its derivative in theta, in one pass over
     the ascending eigenvalues d of P, a list of floats: the sums of g(u)
     and g'(u) du/dtheta at u = log of the matching eigenvalues of
-    P⁻¹ v_update(P, theta, tau)."""
-    coef = _series_coefficients(tau)
+    P⁻¹ v_update(P, theta, tau), for coef = _series_coefficients(tau)."""
     total = slope = 0.0
     if tau < 1.0:
         a = 1.0 - tau
@@ -216,7 +216,7 @@ def gamma(P: np.ndarray, theta: float, tau: float) -> float:
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
-    return _gamma_and_slope(_psd_spectrum(P).tolist(), theta, tau)[0]
+    return _gamma_and_slope(_psd_spectrum(P).tolist(), theta, tau, _series_coefficients(tau))[0]
 
 
 def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
@@ -286,6 +286,7 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
     """
     d = d.tolist()
     d_max = d[-1]
+    coef = _series_coefficients(tau)
     edge = (1.0 - _EDGE_EPS) / ((1.0 - tau) * d_max) if tau < 1.0 else math.inf
     log_c = math.log(c)
     if not 0.0 < theta < edge:
@@ -297,7 +298,7 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
             theta = min(theta, max(2.0, log_c) / d_max)
     lo, hi = 0.0, edge
     for _ in range(_MAX_ITER):
-        val, slope = _gamma_and_slope(d, theta, tau)
+        val, slope = _gamma_and_slope(d, theta, tau, coef)
         if abs(val - c) <= THETA_RTOL * c:
             return theta
         if val > c:
@@ -316,7 +317,7 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
             if not lo < nxt < hi:
                 break
         theta = nxt
-    if tau < 1.0 and _gamma_and_slope(d, edge, tau)[0] < c:
+    if tau < 1.0 and _gamma_and_slope(d, edge, tau, coef)[0] < c:
         raise ToleranceUnreachable(
             f"radius c={c:.6e} is beyond the attainable range for tau={tau}"
         )
@@ -464,6 +465,6 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         cov_part = math.inf
     mean_part = 0.0
     if not means_equal:
-        z = np.linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm)
+        z = _linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm, "cov")
         mean_part = float(z @ z) / (1.0 - tau)
     return max(cov_part + mean_part, 0.0)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from robkf.errors import ConfigError, DimensionMismatch, ModelError, ModelIOError
+from robkf.errors import ConfigError, DimensionMismatch, DomainViolation, ModelError, ModelIOError
 from robkf.model import StateSpaceModel, Trajectory, simulate
 from robkf.riccati import FilterConfig, _walk
 
@@ -93,7 +93,9 @@ def run_filter(
     Raises ConfigError if config is not a FilterConfig and
     DimensionMismatch if observations are not (T, p), and lets
     DomainViolation from a risk-sensitive theta outside the admissible
-    range propagate.
+    range propagate. An estimate that leaves the double range, as one
+    tracking an unstable model's states does over enough steps, raises
+    DomainViolation naming the first such xhat_k.
     """
     return _run_bank(model, (config,), observations)[0]
 
@@ -109,8 +111,11 @@ def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
     steps. The state updates advance together after that, in the
     closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
     A - G_k C and G_k y_k formed in one batch and one stacked product per
-    step (bare matrices for a bank of one). Every run equals, bit for bit,
-    the run of its config alone.
+    step (bare matrices for a bank of one), each written in place into its
+    row of the estimates. Every run equals, bit for bit, the run of its
+    config alone. An A - G_k C, G_k y_k or estimate past the double range
+    raises DomainViolation; for an estimate, at the first step of any run
+    that leaves it, naming that step.
     """
     for config in configs:
         if not isinstance(config, FilterConfig):
@@ -142,16 +147,23 @@ def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
             replay = j + (np.arange(k, T) - j) % period
             for seq in (gains, P_seq, V_seq[1:], theta_seq):
                 seq[k:, i] = seq[replay, i]
-    F = model.A - gains @ model.C
-    b = gains @ y[:, None, :, None]
-    if K == 1:  # a bank of one steps bare vectors, faster to the same bits
-        F, b, xhat = F[:, 0], b[:, 0, :, 0], model.x0_mean
-    else:  # stacks of column vectors
-        xhat = np.broadcast_to(model.x0_mean[:, None], (K, n, 1))
-    estimates = np.empty((T + 1,) + b.shape[1:])
-    estimates[0] = xhat
-    for F_k, b_k, out in zip(F, b, estimates[1:]):
-        xhat = out[...] = F_k @ xhat + b_k
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            F = model.A - gains @ model.C
+            b = gains @ y[:, None, :, None]
+        except FloatingPointError as exc:
+            raise DomainViolation(f"A - G_k C or G_k y_k leaves the double range ({exc})") from exc
+        if K == 1:  # a bank of one steps bare vectors, faster to the same bits
+            F, b, xhat = F[:, 0], b[:, 0, :, 0], model.x0_mean
+        else:  # stacks of column vectors
+            xhat = np.broadcast_to(model.x0_mean[:, None], (K, n, 1))
+        estimates = np.empty((T + 1,) + b.shape[1:])
+        estimates[0] = xhat
+        try:
+            for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
+                xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
+        except FloatingPointError as exc:
+            raise DomainViolation(f"filter estimate xhat_{k} leaves the double range ({exc})") from exc
     estimates = estimates.reshape(T + 1, K, n)
     return tuple(
         FilterTrajectory(config=config, estimates=estimates[:, i], gains=gains[:, i],

@@ -220,6 +220,19 @@ def test_simulating_past_the_double_range_exits_3(model_file, capsys, command):
                         captured.err)
 
 
+@pytest.mark.parametrize("command, step", [(["compare"], 3886),
+                                           (["run", "--kind", "standard"], 3891)],
+                         ids=["compare", "run"])
+def test_estimates_past_the_double_range_exit_3(model_file, capsys, command, step):
+    # 3895 steps is the longest simulation of the example at seed 0; the estimates
+    # tracking its states leave the double range a few steps before that
+    assert main([*command, "--model", model_file, "--steps", "3895"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: filter estimate xhat_{step} leaves the double range \(.*\)\n",
+                        captured.err)
+
+
 def test_simulated_observations_past_the_double_range_exit_3(model_file, capsys):
     # C scaled by 1e10 takes C x past the largest double while every state stays finite
     payload = json.loads(Path(model_file).read_text())

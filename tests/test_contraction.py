@@ -36,6 +36,7 @@ from robkf import (
     thompson_metric,
     v_update,
 )
+from robkf import _linalg
 from robkf.contraction import _map_blocks
 
 from conftest import precise_sensor_jordan_model, random_model, random_spd
@@ -301,13 +302,13 @@ def test_build_downsampled_drops_interleaved_zero_columns():
 def test_build_downsampled_factors_z_on_the_nonzero_columns(example_normalized, monkeypatch):
     # the example's B = [I, 0]: Z is N·2 square, not N·3
     sizes = []
-    cholesky = np.linalg.cholesky
+    cholesky = _linalg._cholesky
 
-    def spy(M, *args, **kwargs):
+    def spy(M, what):
         sizes.append(M.shape[-1])
-        return cholesky(M, *args, **kwargs)
+        return cholesky(M, what)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(_linalg, "_cholesky", spy)
     build_downsampled(example_normalized, 50)
     assert max(sizes) == 100
 
@@ -351,14 +352,14 @@ def test_observable_model_whose_omega_fails_to_factor_is_a_numeric_error(monkeyp
     # It is tested right after G_N's factor (N·p = 100 wide), before the
     # 1500-wide Z of B's 30 nonzero columns is formed
     sizes = []
-    cholesky = np.linalg.cholesky
+    cholesky = _linalg._cholesky
 
-    def spy(M, *args, **kwargs):
+    def spy(M, what):
         sizes.append(M.shape[-1])
-        return cholesky(M, *args, **kwargs)
+        return cholesky(M, what)
 
     model = random_model(np.random.default_rng(30), 30, 2)
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(_linalg, "_cholesky", spy)
     with pytest.raises(NotSPD, match="not numerically positive definite"):
         certify(model, 0.5)
     assert max(sizes) == 50 * 2

@@ -177,7 +177,8 @@ def test_gamma_and_slope_match_mpmath(tau, u_top):
                 g, slope = _g_and_slope_mp(u, tau)
                 want, want_slope = want + g, want_slope + slope * du
             want, want_slope = float(want), float(want_slope)
-        got, got_slope = divergence._gamma_and_slope(d, theta, tau)
+        got, got_slope = divergence._gamma_and_slope(
+            d, theta, tau, divergence._series_coefficients(tau))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), (n, d, theta)
         assert got_slope == pytest.approx(want_slope, rel=1e-13, abs=0.0), (n, d, theta)
 

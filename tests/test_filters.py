@@ -390,6 +390,24 @@ def test_run_filter_validates_observations(example_model):
         run_filter(example_model, config, np.array([[1.0], [np.nan]]))
 
 
+def test_estimates_past_the_double_range_raise_domain_violation(example_model):
+    # the example's seed-0 states near the largest double by step 3895 (where
+    # simulate stops), and the estimates tracking them leave it a few steps
+    # earlier; tier-1 turns numpy's RuntimeWarning into a failure
+    y = simulate(example_model, 3895, 0).observations
+    with pytest.raises(DomainViolation, match=r"^filter estimate xhat_3891 leaves the double range"):
+        run_filter(example_model, FilterConfig.standard(), y)
+    # in a bank, the first step at which any run leaves it
+    with pytest.raises(DomainViolation, match=r"^filter estimate xhat_3887 leaves the double range"):
+        compare_filters(example_model, [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1)],
+                        3895, 0)
+    # C and D scaled by 1e-3 give gains of a few hundred, which take G_k y_k past it
+    model = StateSpaceModel(A=example_model.A, B=example_model.B, C=1e-3 * example_model.C,
+                            D=1e-3 * example_model.D, x0_mean=np.zeros(2), V0=np.eye(2))
+    with pytest.raises(DomainViolation, match=r"^A - G_k C or G_k y_k leaves the double range"):
+        run_filter(model, FilterConfig.standard(), np.full((3, 1), 1e307))
+
+
 def test_run_filter_accepts_flat_observations(example_model):
     obs = np.arange(6, dtype=float)
     a = run_filter(example_model, FilterConfig.standard(), obs)

@@ -1,9 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robkf import DimensionMismatch, GaussianDensity, NotSPD, tau_divergence, thompson_metric
-from robkf._linalg import cholesky_spd, is_spd, square
+from robkf import (
+    DimensionMismatch,
+    FilterConfig,
+    GaussianDensity,
+    NotSPD,
+    iterate_to_fixed_point,
+    run_filter,
+    simulate,
+    tau_divergence,
+    thompson_metric,
+)
+from robkf._linalg import (
+    cholesky_spd,
+    eigh,
+    eigvalsh_sym,
+    is_spd,
+    solve,
+    solve_symmetric_spd,
+    square,
+)
+
+from conftest import random_model
 
 
 def test_non_finite_matrix_is_not_spd():
@@ -67,3 +89,81 @@ def test_density_near_the_largest_double():
     # stay finite and construction raises and warns nothing
     density = GaussianDensity(np.zeros(2), 1e308 * np.eye(2))
     assert np.isfinite(density.cov).all() and np.array_equal(density.cov, 1e308 * np.eye(2))
+
+
+def _spd_stack(rng, shape):
+    """Seeded, exactly symmetric SPD matrices of the given (..., n, n) shape."""
+    X = rng.normal(size=shape)
+    M = X @ X.swapaxes(-1, -2) + 0.1 * np.eye(shape[-1])
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6), (5, 4, 4)], ids=str)
+def test_lapack_seam_equals_numpy_linalg_bit_for_bit(shape):
+    # the seam calls the LAPACK gufuncs behind numpy.linalg on the same arrays,
+    # so it returns their results to the last bit, single and stacked
+    rng = np.random.default_rng([23, *shape])
+    M = _spd_stack(rng, shape)
+    n = shape[-1]
+    assert _same_bits(cholesky_spd(M), np.linalg.cholesky(M))
+    for B in (rng.normal(size=shape[:-2] + (n, 3)), rng.normal(size=shape[:-2] + (n, n))):
+        assert _same_bits(solve_symmetric_spd(M, B), np.linalg.solve(M, B))
+    if len(shape) == 2:
+        b = rng.normal(size=n)
+        assert _same_bits(solve_symmetric_spd(M, b), np.linalg.solve(M, b))
+        A = rng.normal(size=shape)
+        assert _same_bits(solve(A, b), np.linalg.solve(A, b))
+        assert _same_bits(solve(A, M), np.linalg.solve(A, M))
+    w, U = eigh(M)
+    want = np.linalg.eigh(M)
+    assert _same_bits(w, want.eigenvalues) and _same_bits(U, want.eigenvectors)
+    assert _same_bits(eigvalsh_sym(M), np.linalg.eigvalsh(M))
+
+
+def test_lapack_seam_failures_are_not_spd_without_warnings():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    # P⁻¹ + Cᵀ(DDᵀ)⁻¹C of test_information_form_singular_to_lu_is_not_spd (the
+    # 1e-14 of P⁻¹ is lost in the sum): rounding lets it pass the Cholesky
+    # check, but LU finds it singular
+    lu_singular = 9999999999.999998 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSPD, match="^M is not symmetric positive definite$"):
+            cholesky_spd(indefinite, "M")
+        with pytest.raises(NotSPD, match="^M is not symmetric positive definite$"):
+            solve_symmetric_spd(indefinite, np.eye(2), "M")
+        assert not is_spd(indefinite)
+        cholesky_spd(lu_singular)
+        with pytest.raises(NotSPD, match="^M is numerically singular$"):
+            solve_symmetric_spd(lu_singular, np.eye(2), "M")
+        with pytest.raises(NotSPD, match="^L is numerically singular$"):
+            solve(np.zeros((2, 2)), np.ones(2), "L")
+
+
+def test_filter_stream_pass_makes_no_numpy_linalg_calls(example_model, monkeypatch):
+    # the benchmark's filter_stream pass: five filter kinds over 1000 steps of
+    # the example, a robust n = 4 filter at a tiny radius and two fixed points
+    calls = []
+    for name in ("cholesky", "solve", "eigh", "eigvalsh"):
+        kernel = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(2)
+    y = simulate(example_model, 1000, 1).observations
+    for config in (FilterConfig.standard(), FilterConfig.robust(0.0, 0.12),
+                   FilterConfig.robust(0.5, 0.10), FilterConfig.robust(1.0, 0.086),
+                   FilterConfig.risk_sensitive(1.0, 1.3e-3)):
+        run_filter(example_model, config, y)
+    small = random_model(rng, 4)
+    run_filter(small, FilterConfig.robust(0.5, 1e-9), simulate(small, 1000, 1).observations)
+    iterate_to_fixed_point(example_model, np.eye(2))
+    iterate_to_fixed_point(example_model, np.eye(2), "robust", tau=0.5, c=0.10)
+    assert calls == []
