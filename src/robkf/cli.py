@@ -17,11 +17,12 @@ v_k alike. Numbers are written in shortest round-trip decimal form, so
 re-reading a CSV reproduces the doubles exactly. Each trajectory's
 xhat columns are formatted for every row; its P, V and theta columns are
 formatted up to the end of the first period of its ``cycle``, and later
-rows reuse those strings, as the filter bank replays the arrays.
-``compare`` runs its panel as one filter bank, and its default panel
-certifies the model once for all three tau. A failed write of the output
-file or stream, help text included, is an ``OutputError`` (exit 1); a
-missing ``--out`` directory is found before the command does any work.
+rows reuse those strings, as ``run_filter`` replays the arrays.
+``compare`` runs each filter of its panel through ``run_filter`` against
+one simulated trajectory, and its default panel certifies the model once
+for all three tau. A failed write of the output file or stream, help
+text included, is an ``OutputError`` (exit 1); a missing ``--out``
+directory is found before the command does any work.
 
 ``python -m robkf.cli`` and the ``robkf`` script start at ``entry``,
 which freezes the import-time heap before it runs ``main``; ``main``
@@ -42,8 +43,9 @@ import numpy as np
 from robkf.contraction import _certify_each, certify, thompson_metric
 from robkf.errors import (ConfigError, ModelError, ModelIOError, NumericError, OutputError,
                           RobkfError)
-from robkf.filters import FilterConfig, compare_filters, load_observations, run_filter
+from robkf.filters import compare_filters, load_observations, run_filter
 from robkf.model import _read_json, load_model, simulate
+from robkf.riccati import FilterConfig
 
 __all__ = ["cmd_certify", "cmd_run", "cmd_compare", "cmd_metric", "main", "entry"]
 

@@ -11,27 +11,25 @@ every step, and the risk-sensitive filter applies one fixed theta
 throughout. ``FilterConfig`` and that reweighting step live in the
 riccati module, which the fixed-point iteration shares; ``FilterConfig``
 is exported by ``robkf.riccati`` and ``robkf``, not by this module.
-``compare_filters`` runs its configs as one filter bank and
-``run_filter`` is the bank of one. The covariance side reads no
-observation, so the bank computes it first: ``riccati._walk`` steps all
-configs together, one ``riccati._bank_step`` per step, each run
-reweighted by ``riccati._reweight`` as alone, until every run has
-repeated, and the bank then copies each run's cycle over the remaining
-steps. The state updates follow, in the closed-loop form
+``run_filter`` runs one config. Its covariance side reads no
+observation, so it comes first: ``riccati._walk`` steps the run until
+its (V, theta) repeats, and the run then copies its cycle over the
+remaining steps. The state updates follow, in the closed-loop form
 xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-G_k y_k formed in one batch and one stacked product per step. A run in
-a bank equals the run of its config alone bit for bit.
+G_k y_k formed in one batch. ``compare_filters`` is one ``run_filter``
+per config against one simulated trajectory.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
+from robkf import _linalg
 from robkf.errors import ConfigError, DimensionMismatch, DomainViolation, ModelError, ModelIOError
 from robkf.model import StateSpaceModel, Trajectory, simulate
 from robkf.riccati import FilterConfig, _walk
@@ -87,40 +85,24 @@ def run_filter(
     The initial gain covariance is V_0 = model.V0 for every kind, so a
     robust run and a standard run agree exactly at k = 0 and separate
     as their covariance recursions do. Accepts T = 0 observations and
-    returns the prior alone. The run is the bank of one in
-    ``compare_filters``' filter bank.
+    returns the prior alone. The covariance side steps through
+    ``riccati._walk`` until the run has repeated or T steps are done, and
+    its cycle (see ``FilterTrajectory``) is then copied over the remaining
+    steps. The state updates follow in the closed-loop form
+    xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k, every A - G_k C and G_k y_k
+    formed in one batch and each estimate written in place into its row.
 
     Raises ConfigError if config is not a FilterConfig and
-    DimensionMismatch if observations are not (T, p), and lets
-    DomainViolation from a risk-sensitive theta outside the admissible
-    range propagate. An estimate that leaves the double range, as one
-    tracking an unstable model's states does over enough steps, raises
-    DomainViolation naming the first such xhat_k.
+    DimensionMismatch if observations are not a numeric (T, p) array, and
+    lets DomainViolation from a risk-sensitive theta outside the
+    admissible range propagate. An A - G_k C or G_k y_k past the double
+    range raises DomainViolation, and so does an estimate that leaves it,
+    as one tracking an unstable model's states does over enough steps,
+    naming the first such xhat_k.
     """
-    return _run_bank(model, (config,), observations)[0]
-
-
-def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
-    """Run every config over the (T, p) observations as one filter bank.
-
-    The covariance sides step together through ``riccati._walk`` until
-    every run has repeated or T steps are done, into (T, K, ...) arrays
-    that hold the K runs side by side on their second axis; a run
-    stepped past its repeat recomputes its own cycle bit for bit. Each
-    cycle (see ``FilterTrajectory``) is then copied over the remaining
-    steps. The state updates advance together after that, in the
-    closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
-    A - G_k C and G_k y_k formed in one batch and one stacked product per
-    step (bare matrices for a bank of one), each written in place into its
-    row of the estimates. Every run equals, bit for bit, the run of its
-    config alone. An A - G_k C, G_k y_k or estimate past the double range
-    raises DomainViolation; for an estimate, at the first step of any run
-    that leaves it, naming that step.
-    """
-    for config in configs:
-        if not isinstance(config, FilterConfig):
-            raise ConfigError(f"expected a FilterConfig, got {config!r}")
-    y = np.asarray(observations, dtype=float)
+    if not isinstance(config, FilterConfig):
+        raise ConfigError(f"expected a FilterConfig, got {config!r}")
+    y = _linalg.numeric(observations, "observations")
     if y.ndim == 1 and model.p == 1:
         y = y.reshape(-1, 1)
     if y.ndim != 2 or y.shape[1] != model.p:
@@ -129,48 +111,37 @@ def _run_bank(model: StateSpaceModel, configs, observations) -> tuple:
         )
     if y.size and not np.all(np.isfinite(y)):
         raise ModelError("observations contain non-finite values")
-    (K, T), n = (len(configs), y.shape[0]), model.n
-    gains = np.zeros((T, K, n, model.p))
-    P_seq = np.zeros((T, K, n, n))
-    V_seq = np.zeros((T + 1, K, n, n))
-    theta_seq = np.zeros((T, K))
-    cycles = [None] * K
+    T, n = y.shape[0], model.n
+    gains = np.zeros((T, n, model.p))
+    P_seq = np.zeros((T, n, n))
+    V_seq = np.zeros((T + 1, n, n))
+    theta_seq = np.zeros(T)
     V_seq[0] = model.V0
-    walk = _walk(model, configs, model.V0)
-    k = 0
-    while k < T and None in cycles:
-        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycles = next(walk)
+    walk = _walk(model, config, model.V0)
+    k, cycle = 0, None
+    while k < T and cycle is None:
+        gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle = next(walk)
         k += 1
-    for i, cycle in enumerate(cycles):
-        if cycle is not None:
-            j, period = cycle
-            replay = j + (np.arange(k, T) - j) % period
-            for seq in (gains, P_seq, V_seq[1:], theta_seq):
-                seq[k:, i] = seq[replay, i]
+    if cycle is not None:
+        j, period = cycle
+        replay = j + (np.arange(k, T) - j) % period
+        for seq in (gains, P_seq, V_seq[1:], theta_seq):
+            seq[k:] = seq[replay]
     with np.errstate(over="raise", invalid="raise"):
         try:
             F = model.A - gains @ model.C
-            b = gains @ y[:, None, :, None]
+            b = (gains @ y[:, :, None])[:, :, 0]
         except FloatingPointError as exc:
             raise DomainViolation(f"A - G_k C or G_k y_k leaves the double range ({exc})") from exc
-        if K == 1:  # a bank of one steps bare vectors, faster to the same bits
-            F, b, xhat = F[:, 0], b[:, 0, :, 0], model.x0_mean
-        else:  # stacks of column vectors
-            xhat = np.broadcast_to(model.x0_mean[:, None], (K, n, 1))
-        estimates = np.empty((T + 1,) + b.shape[1:])
-        estimates[0] = xhat
+        estimates = np.empty((T + 1, n))
+        estimates[0] = xhat = model.x0_mean
         try:
             for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
                 xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
         except FloatingPointError as exc:
             raise DomainViolation(f"filter estimate xhat_{k} leaves the double range ({exc})") from exc
-    estimates = estimates.reshape(T + 1, K, n)
-    return tuple(
-        FilterTrajectory(config=config, estimates=estimates[:, i], gains=gains[:, i],
-                         P_seq=P_seq[:, i], V_seq=V_seq[:, i], theta_seq=theta_seq[:, i],
-                         cycle=cycles[i])
-        for i, config in enumerate(configs)
-    )
+    return FilterTrajectory(config=config, estimates=estimates, gains=gains, P_seq=P_seq,
+                            V_seq=V_seq, theta_seq=theta_seq, cycle=cycle)
 
 
 @dataclass(frozen=True)
@@ -187,7 +158,10 @@ class ComparisonTable:
         estimates[k] predicts states[k] for k = 0 .. T-1; the final
         estimate extrapolates past the simulated horizon and is not
         scored. A table of T = 0 steps scores nothing and returns nan.
+        A label not in the table raises ConfigError.
         """
+        if label not in self.labels:
+            raise ConfigError(f"no run labelled {label!r}; the table has {self.labels}")
         run = self.runs[self.labels.index(label)]
         T = self.trajectory.states.shape[0]
         if T == 0:
@@ -204,20 +178,23 @@ def compare_filters(
 ) -> ComparisonTable:
     """Simulate one trajectory and run every config against it.
 
-    The configs run as one filter bank, stepped together; each run
-    equals ``run_filter`` of its config on the simulated observations,
-    bit for bit. Labels come from FilterConfig.label(); duplicates get a
-    numeric suffix so columns stay addressable. Raises ConfigError
-    unless every config is a FilterConfig and steps and seed are
-    nonnegative integers, and the error of the first step at which any
-    run fails (DomainViolation from a risk-sensitive theta outside the
-    admissible range, say); when several fail at that step, the error is
+    Each run is ``run_filter`` of its config on the simulated
+    observations, in the order of configs. Labels come from
+    FilterConfig.label(); duplicates get a numeric suffix so columns stay
+    addressable. Raises ConfigError, before simulating, unless configs is
+    a nonempty sequence of FilterConfigs, and ConfigError unless steps and
+    seed are nonnegative integers. When runs fail (DomainViolation from a
+    risk-sensitive theta outside the admissible range, say), the error is
     the first failing config's, in the order of configs.
     """
-    if not configs:
-        raise ConfigError("compare_filters needs at least one filter config")
+    if not isinstance(configs, Sequence) or not configs:
+        raise ConfigError(f"compare_filters needs a nonempty sequence of filter configs, "
+                          f"got {configs!r}")
+    for config in configs:
+        if not isinstance(config, FilterConfig):
+            raise ConfigError(f"expected a FilterConfig, got {config!r}")
     trajectory = simulate(model, steps, seed)
-    runs = _run_bank(model, configs, trajectory.observations)
+    runs = tuple(run_filter(model, config, trajectory.observations) for config in configs)
     labels = []
     for config in configs:
         base = config.label()

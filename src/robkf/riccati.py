@@ -8,19 +8,18 @@ standard filter keeps V = P, the robust filter solves for the theta
 meeting its divergence budget c at every step, and the risk-sensitive
 filter applies a fixed theta. The robust reweighting factors P once,
 for the theta solve and the reweighting both, and starts the solve from
-the previous step's theta. ``_bank_step`` is the one step of the
-recursions: it steps a bank of K configs of one model together, V as a
-(K, n, n) stack, with one batched gain-form step (``predict_covariance``),
-then reweights each row through ``_reweight``; a bank of one steps the
-bare n×n matrices. ``_walk`` is the one loop over it: it starts every run
-at one symmetrized V with its theta_0, steps the bank, and marks each
-run's cycle, the first byte-exact repeat of its (V, theta). A filter run
-(``filters._run_bank``) follows it until every run has repeated, and
+the previous step's theta. ``_covariance_step`` is the one step of the
+recursions: one gain-form step (``predict_covariance``) of a config's
+n×n V, then ``_reweight``. ``_walk`` is the one loop over it: it starts a
+run at V symmetrized with its theta_0, steps it, and marks its cycle, the
+first byte-exact repeat of its (V, theta). A filter run
+(``filters.run_filter``) follows it until the run has repeated, and
 stores and replays the steps itself; ``iterate_to_fixed_point`` follows
 it until a step meets tol or closes the cycle; the single-step
-recursions call ``_bank_step`` once. So a fixed point, a single step, a
-filter run and a run in a bank are the same arithmetic, and take a
-correlated model (B Dᵀ ≠ 0) as given.
+recursions call ``_covariance_step`` once. So a fixed point, a single
+step and a filter run are the same arithmetic, and take a correlated
+model (B Dᵀ ≠ 0) as given; ``filters.compare_filters`` is a
+``run_filter`` per config.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them, and only they need B Dᵀ = 0.
@@ -149,66 +148,47 @@ def _reweight(config: FilterConfig, P: np.ndarray,
     return _reweighted(U, _reweighting_weights(w, theta, config.tau)), theta
 
 
-def _bank_step(model: StateSpaceModel, configs, noise, V: np.ndarray, thetas):
-    """One step of the covariance recursions of K configs of one model, as one bank.
+def _covariance_step(model: StateSpaceModel, config: FilterConfig, noise,
+                     V: np.ndarray, theta: float):
+    """One step of config's covariance recursion.
 
-    Maps the exactly symmetric conditional covariances V_k, a (K, n, n)
-    stack, and the sequence of their K thetas to (G_k, P_{k+1}, V_{k+1},
-    theta_{k+1}), shaped as the inputs, given the model's
-    ``noise_covariances()``. Row i reads only its (V_k, theta_k) and
-    configs[i]; its robust solve starts from theta_k (0 for a cold
-    start). One batched gain-form step serves all rows; each row is then
-    reweighted by ``_reweight``, in the order of configs, so the first
-    row to fail raises.
-
-    A bank of one steps the bare n×n V and a float theta through
-    ``_reweight`` to the same bits: as stacks of one, numpy's per-call
-    overhead made the benchmark's filter_stream pass 14% slower (median
-    of 10 runs; 2 shared CPUs, one BLAS thread).
+    Maps the exactly symmetric n×n conditional covariance V_k and its
+    theta_k to (G_k, P_{k+1}, V_{k+1}, theta_{k+1}), given the model's
+    ``noise_covariances()``: one gain-form step, then ``_reweight``,
+    whose robust solve starts from theta_k (0 for a cold start).
     """
     G, P = _gain_and_prediction(model, V, noise)
-    if P.ndim == 2:
-        V, theta = _reweight(configs[0], P, thetas)
-        return G, P, V, theta
-    V, thetas = zip(*map(_reweight, configs, P, thetas))
-    return G, P, np.stack(V), thetas
+    V, theta = _reweight(config, P, theta)
+    return G, P, V, theta
 
 
-def _walk(model: StateSpaceModel, configs, V):
-    """The covariance recursions of K configs of one model, started together
-    at the conditional covariance V and stepped as one bank, without end.
+def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
+    """config's covariance recursion started at the conditional covariance V,
+    without end.
 
-    Step k maps each run's state (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1},
-    theta_{k+1}) through ``_bank_step`` and reads nothing else. V_0 is V
-    symmetrized, the same for every run, and theta_0 is the risk-sensitive
-    kind's fixed theta and 0 otherwise, so the robust kind's cold first
-    step never counts as a repeat. Yields, after each step, ``_bank_step``'s
-    (G, P, V, thetas) and the list ``cycles``: entry i is None until run i's
-    state after step j + p repeats the one after step j byte for byte,
-    then (j, p) for good; from step j on the run repeats with period p.
-    Each cycle is logged at debug level when found. A bank of one yields
-    bare n×n matrices and a float theta. Nothing is stepped before the
-    first value is asked for.
+    Step k maps the state (V_k, theta_k) to (G_k, P_{k+1}, V_{k+1},
+    theta_{k+1}) through ``_covariance_step`` and reads nothing else. V_0
+    is V symmetrized, and theta_0 is the risk-sensitive kind's fixed theta
+    and 0 otherwise, so the robust kind's cold first step never counts as
+    a repeat. Yields, after each step, ``_covariance_step``'s (G, P, V,
+    theta) and the cycle: None until the state after step j + p repeats
+    the one after step j byte for byte, then (j, p) for good; from step j
+    on the run repeats with period p. The cycle is logged at debug level
+    when found. Nothing is stepped before the first value is asked for.
     """
-    K = len(configs)
-    thetas = [0.0 if config.theta is None else config.theta for config in configs]
-    V = _linalg.sym(np.broadcast_to(V, (K, *V.shape)))
-    size = V[0].nbytes
-    seen = [{(V[0].tobytes(), theta): 0} for theta in thetas]
-    cycles = [None] * K
-    if K == 1:
-        V, thetas = V[0], thetas[0]
+    theta = 0.0 if config.theta is None else config.theta
+    V = _linalg.sym(V)
+    seen = {(V.tobytes(), theta): 0}
+    cycle = None
     noise = model.noise_covariances()
     for k in itertools.count(1):
-        G, P, V, thetas = _bank_step(model, configs, noise, V, thetas)
-        data = V.tobytes()
-        for i, theta in enumerate(thetas if K > 1 else (thetas,)):
-            j = seen[i].setdefault((data[i * size:(i + 1) * size], theta), k)
-            if cycles[i] is None and j < k:
-                cycles[i] = (j, k - j)
-                log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
-                          "(period %d)", configs[i].kind, k, j, k - j)
-        yield G, P, V, thetas, cycles
+        G, P, V, theta = _covariance_step(model, config, noise, V, theta)
+        j = seen.setdefault((V.tobytes(), theta), k)
+        if cycle is None and j < k:
+            cycle = (j, k - j)
+            log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
+                      "(period %d)", config.kind, k, j, k - j)
+        yield G, P, V, theta, cycle
 
 
 @dataclass(frozen=True)
@@ -270,9 +250,8 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
     BBt, BDt, DDt = noise
     AV = model.A @ V
     S = _linalg.sym(model.C @ V @ model.C.T + DDt)
-    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).swapaxes(-1, -2),
-                                    "innovation covariance").swapaxes(-1, -2)
-    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.swapaxes(-1, -2) + BBt)
+    G = _linalg.solve_symmetric_spd(S, (AV @ model.C.T + BDt).T, "innovation covariance").T
+    return G, _linalg.sym(AV @ model.A.T - G @ S @ G.T + BBt)
 
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
@@ -337,7 +316,8 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
     """Reweight P into V_in, then take one step of the recursion from V_in."""
     V_in, theta_in = _reweight(config, _linalg.sym(_linalg.square(P, "P", model.n)))
-    G, P_next, V, theta = _bank_step(model, (config,), model.noise_covariances(), V_in, theta_in)
+    G, P_next, V, theta = _covariance_step(model, config, model.noise_covariances(),
+                                           V_in, theta_in)
     return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
@@ -436,8 +416,7 @@ def iterate_to_fixed_point(
     _linalg.psd_spectrum(V, "start")
 
     steps, P_prev, cycle = [], None, None
-    for iterations, (G_k, P_star, V_next, th, cycles) in enumerate(
-            _walk(model, (config,), V), 1):
+    for iterations, (G_k, P_star, V_next, th, found) in enumerate(_walk(model, config, V), 1):
         V_k, V = V, V_next
         try:
             dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
@@ -448,7 +427,7 @@ def iterate_to_fixed_point(
         # a cycle found after the previous step makes this one its closing step
         if dist <= tol or cycle is not None:
             break
-        cycle = cycles[0]
+        cycle = found
         if iterations == max_iter:
             break
 

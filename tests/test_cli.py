@@ -220,7 +220,7 @@ def test_simulating_past_the_double_range_exits_3(model_file, capsys, command):
                         captured.err)
 
 
-@pytest.mark.parametrize("command, step", [(["compare"], 3886),
+@pytest.mark.parametrize("command, step", [(["compare"], 3891),
                                            (["run", "--kind", "standard"], 3891)],
                          ids=["compare", "run"])
 def test_estimates_past_the_double_range_exit_3(model_file, capsys, command, step):

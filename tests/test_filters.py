@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from robkf import _linalg, divergence, riccati
+from robkf import _linalg, divergence, filters, riccati
 from robkf import (
     ConfigError,
     DimensionMismatch,
@@ -270,12 +270,12 @@ def test_cycle_is_a_repeat_of_v_and_theta(example_model, monkeypatch):
     # solve would start; the cycle begins only when (V_2, theta_2) comes back
     states = iter([(2.0, 0.1), (3.0, 0.2), (2.0, 0.3), (3.0, 0.2), (2.0, 0.3)])
 
-    def scripted(model, configs, noise, V, theta):
+    def scripted(model, config, noise, V, theta):
         scale, theta_k = next(states)
         V_k = scale * np.eye(2)
         return np.zeros((2, 1)), V_k, V_k, theta_k
 
-    monkeypatch.setattr(riccati, "_bank_step", scripted)
+    monkeypatch.setattr(riccati, "_covariance_step", scripted)
     ft = run_filter(example_model, FilterConfig.robust(0.5, 0.1), np.zeros((10, 1)))
     assert ft.cycle == (2, 2)
     np.testing.assert_array_equal(ft.theta_seq, [0.1, 0.2, 0.3] + [0.2, 0.3] * 3 + [0.2])
@@ -397,8 +397,8 @@ def test_estimates_past_the_double_range_raise_domain_violation(example_model):
     y = simulate(example_model, 3895, 0).observations
     with pytest.raises(DomainViolation, match=r"^filter estimate xhat_3891 leaves the double range"):
         run_filter(example_model, FilterConfig.standard(), y)
-    # in a bank, the first step at which any run leaves it
-    with pytest.raises(DomainViolation, match=r"^filter estimate xhat_3887 leaves the double range"):
+    # in a compare, the first failing run's, in the order of configs
+    with pytest.raises(DomainViolation, match=r"^filter estimate xhat_3891 leaves the double range"):
         compare_filters(example_model, [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1)],
                         3895, 0)
     # C and D scaled by 1e-3 give gains of a few hundred, which take G_k y_k past it
@@ -406,6 +406,14 @@ def test_estimates_past_the_double_range_raise_domain_violation(example_model):
                             D=1e-3 * example_model.D, x0_mean=np.zeros(2), V0=np.eye(2))
     with pytest.raises(DomainViolation, match=r"^A - G_k C or G_k y_k leaves the double range"):
         run_filter(model, FilterConfig.standard(), np.full((3, 1), 1e307))
+
+
+@pytest.mark.parametrize("observations", [[["a"]], [[1.0], [1.0, 2.0]]],
+                         ids=["non-numeric", "ragged"])
+def test_run_filter_rejects_observations_that_are_not_numeric_arrays(example_model,
+                                                                     observations):
+    with pytest.raises(DimensionMismatch, match="^observations must be a numeric array"):
+        run_filter(example_model, FilterConfig.standard(), observations)
 
 
 def test_run_filter_accepts_flat_observations(example_model):
@@ -429,10 +437,28 @@ def test_zero_step_runs_take_no_step(example_model, monkeypatch):
     def no_step(*args):
         raise AssertionError("a zero-step run stepped")
 
-    monkeypatch.setattr(riccati, "_bank_step", no_step)
+    monkeypatch.setattr(riccati, "_covariance_step", no_step)
     run_filter(example_model, FilterConfig.robust(0.5, 0.1), np.zeros((0, 1)))
     compare_filters(example_model, [FilterConfig.standard(), FilterConfig.robust(0.5, 0.1)],
                     steps=0, seed=0)
+
+
+def test_compare_rejects_configs_that_are_not_a_sequence(example_model, monkeypatch):
+    def no_simulate(*args):
+        raise AssertionError("simulated before checking configs")
+
+    monkeypatch.setattr(filters, "simulate", no_simulate)
+    configs = (config for config in [FilterConfig.standard()])
+    with pytest.raises(ConfigError, match="^compare_filters needs a nonempty sequence"):
+        compare_filters(example_model, configs, steps=5, seed=0)
+
+
+def test_rmse_of_an_unknown_label_names_the_table_labels(example_model):
+    table = compare_filters(example_model, [FilterConfig.standard(), FilterConfig.standard()],
+                            steps=5, seed=0)
+    with pytest.raises(ConfigError,
+                       match=r"^no run labelled 'nope'; the table has \('kf', 'kf_2'\)$"):
+        table.rmse("nope")
 
 
 def test_compare_single_standard_degenerates(example_model):
@@ -612,35 +638,32 @@ def test_bank_steps_runs_past_their_repeats_bit_for_bit():
     assert all(run.cycle is None for run in table.runs[1:])
 
 
-def test_bank_stops_once_every_run_has_repeated(example_model, monkeypatch):
-    calls = []
-    bank_step = riccati._bank_step
-
-    def counted(*args):
-        calls.append(1)
-        return bank_step(*args)
-
-    monkeypatch.setattr(riccati, "_bank_step", counted)
-    # the CLI's default panel: standard, then robust at c_max for tau 0, 0.5, 1
-    table = compare_filters(example_model, _panel(example_model)[:4], 1000, seed=8)
-    assert len(calls) == max(sum(run.cycle) for run in table.runs)
-
-
-def test_bank_reweights_every_row_through_reweight(example_model, monkeypatch):
+def test_compare_steps_each_run_until_it_has_repeated(example_model, monkeypatch):
     steps = []
-    bank_step = riccati._bank_step
+    covariance_step = riccati._covariance_step
 
-    def counted(*args):
-        steps.append(1)
-        return bank_step(*args)
+    def counted(model, config, *args):
+        steps.append(config)
+        return covariance_step(model, config, *args)
 
-    monkeypatch.setattr(riccati, "_bank_step", counted)
-    calls = _counting_reweight(monkeypatch)
-    # the CLI's default panel: each bank step reweights every row once, in panel order
+    monkeypatch.setattr(riccati, "_covariance_step", counted)
+    # the CLI's default panel: standard, then robust at c_max for tau 0, 0.5, 1;
+    # each run takes its own min(T, j + p) steps, not the panel's longest
     configs = _panel(example_model)[:4]
-    compare_filters(example_model, configs, 1000, seed=8)
-    assert len(steps) > 1
-    assert calls == configs * len(steps)
+    table = compare_filters(example_model, configs, 1000, seed=8)
+    counts = [min(1000, sum(run.cycle)) for run in table.runs]
+    assert steps == [c for config, m in zip(configs, counts) for c in [config] * m]
+    assert len(steps) < len(configs) * max(counts)
+
+
+def test_compare_reweights_every_step_through_reweight(example_model, monkeypatch):
+    calls = _counting_reweight(monkeypatch)
+    # the CLI's default panel: each of a run's min(T, j + p) steps reweights
+    # once, run by run in panel order
+    configs = _panel(example_model)[:4]
+    table = compare_filters(example_model, configs, 1000, seed=8)
+    assert calls == [config for config, run in zip(configs, table.runs)
+                     for _ in range(min(1000, sum(run.cycle)))]
 
 
 def test_bank_raises_for_an_out_of_domain_row(example_model):
