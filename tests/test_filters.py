@@ -652,7 +652,7 @@ def test_compare_steps_each_run_until_it_has_repeated(example_model, monkeypatch
     configs = _panel(example_model)[:4]
     table = compare_filters(example_model, configs, 1000, seed=8)
     counts = [min(1000, sum(run.cycle)) for run in table.runs]
-    assert steps == [c for config, m in zip(configs, counts) for c in [config] * m]
+    assert steps == [config for config, m in zip(configs, counts) for _ in range(m)]
     assert len(steps) < len(configs) * max(counts)
 
 
