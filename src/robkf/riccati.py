@@ -175,6 +175,10 @@ def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
     the one after step j byte for byte, then (j, p) for good; from step j
     on the run repeats with period p. The cycle is logged at debug level
     when found. Nothing is stepped before the first value is asked for.
+    Its consumers raise numpy's overflow and invalid flags once around their
+    whole loop over it, not here, where the flags would span a yield; a step
+    that leaves the double range then raises FloatingPointError, which they
+    report as DomainViolation.
     """
     theta = 0.0 if config.theta is None else config.theta
     V = _linalg.sym(V)
@@ -407,6 +411,9 @@ def iterate_to_fixed_point(
     NotSPD
         If start is not finite or has an eigenvalue below
         −1e-10·max(1, |λ_max|); a singular PSD start is accepted.
+    DomainViolation
+        Naming the first iterate P_k that leaves the double range, as an
+        unobservable unstable mode makes it do.
     """
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not _as_float(tol) > 0.0:
@@ -416,20 +423,26 @@ def iterate_to_fixed_point(
     _linalg.psd_spectrum(V, "start")
 
     steps, P_prev, cycle = [], None, None
-    for iterations, (G_k, P_star, V_next, th, found) in enumerate(_walk(model, config, V), 1):
-        V_k, V = V, V_next
+    walk = enumerate(_walk(model, config, V), 1)
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
-        except (NotSPD, DomainViolation):
-            dist = math.inf
-        steps.append(dist)
-        P_prev = P_star
-        # a cycle found after the previous step makes this one its closing step
-        if dist <= tol or cycle is not None:
-            break
-        cycle = found
-        if iterations == max_iter:
-            break
+            for iterations, (G_k, P_star, V_next, th, found) in walk:
+                V_k, V = V, V_next
+                try:
+                    dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
+                except (NotSPD, DomainViolation):
+                    dist = math.inf
+                steps.append(dist)
+                P_prev = P_star
+                # a cycle found after the previous step makes this one its closing step
+                if dist <= tol or cycle is not None:
+                    break
+                cycle = found
+                if iterations == max_iter:
+                    break
+        except FloatingPointError as exc:
+            raise DomainViolation(f"covariance P_{len(steps) + 1} leaves the double range "
+                                  f"({exc})") from exc
 
     G_star = gain(model, V)
     AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D

@@ -198,11 +198,16 @@ def _reference_run(model, config, y):
 
 
 def _assert_matches_reference(model, config, y):
+    """The covariance side equals the reference bit for bit; the estimates,
+    from the scan for n <= filters._SCAN_MAX_N, agree within 1e-12 relative."""
     ft = run_filter(model, config, y)
     want = _reference_run(model, config, y)
-    got = (ft.estimates, ft.gains, ft.P_seq, ft.V_seq, ft.theta_seq)
-    for name, a, b in zip(("estimates", "gains", "P_seq", "V_seq", "theta_seq"), got, want):
+    got = (ft.gains, ft.P_seq, ft.V_seq, ft.theta_seq)
+    for name, a, b in zip(("gains", "P_seq", "V_seq", "theta_seq"), got, want[1:]):
         assert np.array_equal(a, b), name
+    scale = 1.0 + np.max(np.abs(want[0]))
+    assert ft.estimates.shape == want[0].shape
+    assert np.max(np.abs(ft.estimates - want[0])) <= 1e-12 * scale
     return ft
 
 
@@ -237,6 +242,33 @@ def test_replay_boundary_is_bit_identical(example_model):
     for T in (0, 1, repeat // 2, repeat - 1, repeat, repeat + 1):
         ft = _assert_matches_reference(example_model, config, y[:T])
         assert ft.cycle == ((start, period) if T >= repeat else None), T
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 1023, 1024, 1025])
+def test_scan_matches_the_reference_at_the_doubling_edges(example_model, T):
+    # the scan's last stride is the largest power of two below T, and its
+    # matrix products stop one round earlier
+    y = simulate(example_model, T, seed=3).observations
+    _assert_matches_reference(example_model, FilterConfig.robust(0.5, 0.10), y)
+
+
+@pytest.mark.parametrize("n,scanned", [(6, True), (8, False)])
+def test_estimates_scan_up_to_six_states_and_loop_above(n, scanned, monkeypatch):
+    calls = []
+    scan = filters._scan
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(filters, "_scan", counted)
+    model = random_model(np.random.default_rng(n), n=n, p=2, correlated=True)
+    y = simulate(model, 300, seed=7).observations
+    ft = _assert_matches_reference(model, FilterConfig.robust(0.5, 0.05), y)
+    assert len(calls) == scanned
+    if not scanned:
+        # the step-by-step loop, bit for bit
+        assert np.array_equal(ft.estimates, _reference_run(model, ft.config, y)[0])
 
 
 def _scalar_model():
@@ -406,6 +438,31 @@ def test_estimates_past_the_double_range_raise_domain_violation(example_model):
                             D=1e-3 * example_model.D, x0_mean=np.zeros(2), V0=np.eye(2))
     with pytest.raises(DomainViolation, match=r"^A - G_k C or G_k y_k leaves the double range"):
         run_filter(model, FilterConfig.standard(), np.full((3, 1), 1e307))
+
+
+def _unobservable_model():
+    """The mode at 2 is unobservable, so the prediction covariance grows like 4^k."""
+    return StateSpaceModel(A=np.diag([0.5, 2.0]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                           C=[[1.0, 0.0]], D=[[0.0, 0.0, 1.0]], x0_mean=np.zeros(2),
+                           V0=np.eye(2))
+
+
+def test_covariance_past_the_double_range_raises_domain_violation():
+    # tier-1 turns numpy's RuntimeWarning into a failure, so no step may warn
+    # before the typed error
+    model = _unobservable_model()
+    robust = FilterConfig.robust(0.5, 0.1)
+    runs = [
+        (lambda: run_filter(model, FilterConfig.standard(), np.zeros((600, 1))), 512),
+        (lambda: run_filter(model, robust, np.zeros((600, 1))), 397),
+        (lambda: compare_filters(model, [FilterConfig.standard(), robust], 600, 0), 512),
+        (lambda: iterate_to_fixed_point(model, np.eye(2), max_iter=2000), 512),
+        (lambda: iterate_to_fixed_point(model, np.eye(2), "robust", tau=0.5, c=0.1,
+                                        max_iter=2000), 397),
+    ]
+    for run, k in runs:
+        with pytest.raises(DomainViolation, match=rf"^covariance P_{k} leaves the double range"):
+            run()
 
 
 @pytest.mark.parametrize("observations", [[["a"]], [[1.0], [1.0, 2.0]]],
