@@ -48,8 +48,8 @@ __all__ = [
     "load_observations",
 ]
 
-# Runs of n <= _SCAN_MAX_N states take their estimates from ``_scan``; its
-# T log T n³ work beats the per-step loop up to about n = 8 at T = 1000.
+# Runs of n <= _SCAN_MAX_N states take their estimates from ``_scan``: its
+# T log T n³ work overtakes the per-step loop between n = 8 and 12 at T = 1000.
 _SCAN_MAX_N = 6
 
 

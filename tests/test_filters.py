@@ -440,17 +440,13 @@ def test_estimates_past_the_double_range_raise_domain_violation(example_model):
         run_filter(model, FilterConfig.standard(), np.full((3, 1), 1e307))
 
 
-def _unobservable_model():
-    """The mode at 2 is unobservable, so the prediction covariance grows like 4^k."""
-    return StateSpaceModel(A=np.diag([0.5, 2.0]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                           C=[[1.0, 0.0]], D=[[0.0, 0.0, 1.0]], x0_mean=np.zeros(2),
-                           V0=np.eye(2))
-
-
 def test_covariance_past_the_double_range_raises_domain_violation():
-    # tier-1 turns numpy's RuntimeWarning into a failure, so no step may warn
-    # before the typed error
-    model = _unobservable_model()
+    # the mode at 2 is unobservable, so the prediction covariance grows like
+    # 4^k; tier-1 turns numpy's RuntimeWarning into a failure, so no step may
+    # warn before the typed error
+    model = StateSpaceModel(A=np.diag([0.5, 2.0]), B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                            C=[[1.0, 0.0]], D=[[0.0, 0.0, 1.0]], x0_mean=np.zeros(2),
+                            V0=np.eye(2))
     robust = FilterConfig.robust(0.5, 0.1)
     runs = [
         (lambda: run_filter(model, FilterConfig.standard(), np.zeros((600, 1))), 512),
