@@ -19,6 +19,17 @@ fails, a solve that LU finds singular) or NumericError (an
 eigendecomposition that does not converge). SVD, general eigenvalues and
 norms stay on ``numpy.linalg``: numpy renamed its SVD gufuncs between 1.x
 and 2.x.
+
+``overflow_as`` is the package's one rule for a number past the double
+range: inside its block numpy's overflow and invalid flags raise, and the
+FloatingPointError becomes the caller's typed error, whose message names
+what left the range and ends with numpy's in parentheses. Every public
+call that can leave the range enters it once, around its whole
+computation, never per step of a loop. The LAPACK helpers nest inside it
+safely: their own flags last only for the gufunc call, which clears every
+flag when it succeeds and sets invalid when it fails, so an LU solve that
+overflows to inf raises nothing and a failed factorization still maps as
+above.
 """
 from __future__ import annotations
 
@@ -30,6 +41,7 @@ from numpy.linalg import _umath_linalg as _lapack
 from robkf.errors import DimensionMismatch, DomainViolation, NotSPD, NumericError
 
 __all__ = [
+    "overflow_as",
     "numeric",
     "square",
     "sym",
@@ -59,6 +71,25 @@ RANK_REL_TOL = 1e-10
 # The smallest normal double; below it a singular value has lost precision.
 _TINY = float(np.finfo(float).tiny)
 _INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
+
+
+class overflow_as(np.errstate):
+    """``with overflow_as(error, message):`` raises numpy's overflow and
+    invalid flags inside its block and turns the FloatingPointError into
+    ``error(f"{message} ({numpy's message})")`` from it. message is a string,
+    or a zero-argument callable called only then, so a loop can name the
+    step it reached. A subclass of np.errstate, the cheapest guard to
+    enter."""
+
+    def __init__(self, error: type, message):
+        super().__init__(over="raise", invalid="raise")
+        self.error, self.message = error, message
+
+    def __exit__(self, kind, exc, tb):
+        super().__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            text = self.message if isinstance(self.message, str) else self.message()
+            raise self.error(f"{text} ({exc})") from exc
 
 
 def numeric(x, what: str) -> np.ndarray:

@@ -144,17 +144,16 @@ def build_downsampled(model: NormalizedModel, N: int) -> DownsampledSystem:
         If the impulse responses overflow when squared, checked before
         the N² blocks are laid out, or a block covariance fails to factor,
         or Omega_N or W fail to factor at N >= n: they are then PD in
-        exact arithmetic but not numerically.
+        exact arithmetic but not numerically. A build that leaves the
+        double range anywhere else raises NotSPD("lifted system overflows
+        at N=…"), from the ``_linalg.overflow_as`` around it.
     """
     model = normalize(model)
     N = _integer(N, 1, "N must be a positive integer, got {value!r}")
     if N < model.n:
         log.warning("N=%d below the state dimension %d; Omega_N may be singular", N, model.n)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _lifted_system(model, N)
-    except FloatingPointError as exc:
-        raise NotSPD(f"lifted system overflows at N={N} ({exc})") from exc
+    with _linalg.overflow_as(NotSPD, f"lifted system overflows at N={N}"):
+        return _lifted_system(model, N)
 
 
 def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
@@ -270,6 +269,9 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         If Omega_N is not PD or R_N lacks full row rank, so that no
         positive phi is feasible (possible only for N < n; at N >= n
         ``build_downsampled`` raises instead).
+    DomainViolation
+        If J_N Omega_N⁻¹ J_Nᵀ leaves the double range, as a nearly
+        unobservable model (C scaled by 1e-160, say) makes it do.
     """
     n = ds.model.n
     if ds.N < n and _linalg.rank_from_singular_values(reachability_matrix(ds.model, ds.N)) < n:
@@ -278,8 +280,9 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")
     except NotSPD as exc:
         raise SearchFailed(f"Omega_N is singular at N={ds.N}; no phi > 0 is feasible") from exc
-    X = _linalg.solve(L, ds.J_N.T, "Omega_N")
-    t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
+    with _linalg.overflow_as(DomainViolation, "J_N Omega_N⁻¹ J_Nᵀ leaves the double range"):
+        X = _linalg.solve(L, ds.J_N.T, "Omega_N")
+        t_max = _linalg.eigvalsh_sym(ds.T + X.T @ X)[-1]
     phi = (1.0 - _PHI_EDGE) / t_max
     log.debug("phi_N = %.9e (tilde_phi_N = %.9e)", phi, ds.tilde_phi_N)
     return float(phi)
@@ -351,7 +354,11 @@ def certify(
     RiskSensitiveModeUnsupported
         For mode="risk_sensitive" with tau < 1.
     DomainViolation
-        If sigma_n * phi_N >= 1, where no admissible theta_bar exists.
+        If sigma_n * phi_N >= 1, where no admissible theta_bar exists, or
+        B Bᵀ or the burn-in from it leaves the double range, or
+        ``find_phi_N``'s J_N Omega_N⁻¹ J_Nᵀ does.
+    NotSPD
+        If P_bar_q is singular, or from ``build_downsampled``.
     """
     return _certify_each(model, (tau,), q, N, mode)[0]
 
@@ -385,10 +392,11 @@ def _certify_each(
         N = max(nm.n, 50)
     N = _integer(N, nm.n, f"N must be an integer >= n = {nm.n}, got {{value!r}}")
 
-    noise = nm.noise_covariances()
-    P_bar = _linalg.sym(nm.B @ nm.B.T)
-    for _ in range(q):
-        P_bar = _gain_and_prediction(nm, P_bar, noise)[1]
+    with _linalg.overflow_as(DomainViolation, "burn-in from B Bᵀ leaves the double range"):
+        noise = nm.noise_covariances()
+        P_bar = _linalg.sym(nm.B @ nm.B.T)
+        for _ in range(q):
+            P_bar = _gain_and_prediction(nm, P_bar, noise)[1]
     spectrum = _linalg.eigvalsh_sym(P_bar)
     sigma_n = float(spectrum[0])
     if sigma_n <= 0.0:

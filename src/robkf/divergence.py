@@ -372,16 +372,17 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
         If P is not a nonempty square matrix.
     DomainViolation
         If tau or theta is not a number, theta < 0, tau < 1 and
-        theta (1-tau) sigma1(P) >= 1, or the tau = 1 exponential
-        overflows.
+        theta (1-tau) sigma1(P) >= 1, the tau = 1 exponential
+        overflows, or P f(P) leaves the double range.
     """
     tau = check_tau(tau)
     theta = _check_theta(theta)
     P = _linalg.sym(_linalg.finite(_linalg.square(P, "P"), "P"))
     if theta == 0.0:
         return P
-    w, U = _positive_eigh(P)
-    return _reweighted(U, _reweighting_weights(w, theta, tau))
+    with _linalg.overflow_as(DomainViolation, "P f(P) leaves the double range"):
+        w, U = _positive_eigh(P)
+        return _reweighted(U, _reweighting_weights(w, theta, tau))
 
 
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -437,8 +438,10 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         tau = 1:      lam log lam - lam + 1
 
     The mean difference contributes (1-tau)⁻¹ ||Δm||² weighted by
-    f.cov⁻¹ for tau < 1; at tau = 1 any nonzero mean difference makes
-    the divergence +inf. Invariant under the choice of symmetric factor
+    f.cov⁻¹ for tau < 1, +inf where it passes the largest double (its
+    norm comes from the halved difference by math.hypot, within 1e-15
+    relative of the direct sum of squares); at tau = 1 any nonzero mean
+    difference makes the divergence +inf. Invariant under the choice of symmetric factor
     of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
     covariance part is evaluated in u = log lam, from its power series where
     the closed forms above cancel (lam near 1). The lam are the squared
@@ -454,8 +457,8 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         raise DimensionMismatch(
             f"densities have different dimensions {f_tilde.dim} and {f.dim}"
         )
-    dm = f.mean - f_tilde.mean
-    means_equal = np.max(np.abs(dm), initial=0.0) <= MEAN_TOL
+    dm = 0.5 * f.mean - 0.5 * f_tilde.mean  # half the difference: finite for finite means
+    means_equal = np.max(np.abs(dm), initial=0.0) <= 0.5 * MEAN_TOL
     if tau == 1.0 and not means_equal:
         return float("inf")
     coef = _series_coefficients(tau)
@@ -465,6 +468,7 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         cov_part = math.inf
     mean_part = 0.0
     if not means_equal:
-        z = _linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm, "cov")
-        mean_part = float(z @ z) / (1.0 - tau)
+        # twice the norm of the whitened half difference, which math.hypot keeps finite
+        norm = 2.0 * math.hypot(*_linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm, "cov"))
+        mean_part = norm * norm / (1.0 - tau)
     return max(cov_part + mean_part, 0.0)

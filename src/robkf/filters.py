@@ -118,7 +118,9 @@ def run_filter(
     unstable mode makes it do. An A - G_k C or G_k y_k past the double
     range raises DomainViolation, and so does an estimate that leaves it,
     as one tracking an unstable model's states does over enough steps,
-    naming the first such xhat_k.
+    naming the first such xhat_k. Each of the three is one
+    ``_linalg.overflow_as`` around the covariance walk, the batch and the
+    estimates, entered once per run.
     """
     if not isinstance(config, FilterConfig):
         raise ConfigError(f"expected a FilterConfig, got {config!r}")
@@ -139,32 +141,24 @@ def run_filter(
     V_seq[0] = model.V0
     walk = _walk(model, config, model.V0)
     k, cycle = 0, None
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            while k < T and cycle is None:
-                gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle = next(walk)
-                k += 1
-        except FloatingPointError as exc:
-            raise DomainViolation(f"covariance P_{k + 1} leaves the double range ({exc})") from exc
-        if cycle is not None:
-            j, period = cycle
-            replay = j + (np.arange(k, T) - j) % period
-            for seq in (gains, P_seq, V_seq[1:], theta_seq):
-                seq[k:] = seq[replay]
-        try:
-            F = model.A - gains @ model.C
-            b = (gains @ y[:, :, None])[:, :, 0]
-        except FloatingPointError as exc:
-            raise DomainViolation(f"A - G_k C or G_k y_k leaves the double range ({exc})") from exc
-        estimates = np.empty((T + 1, n))
-        estimates[0] = xhat = model.x0_mean
+    with _linalg.overflow_as(DomainViolation, lambda: f"covariance P_{k + 1} leaves the double range"):
+        while k < T and cycle is None:
+            gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle = next(walk)
+            k += 1
+    if cycle is not None:
+        j, period = cycle
+        replay = j + (np.arange(k, T) - j) % period
+        for seq in (gains, P_seq, V_seq[1:], theta_seq):
+            seq[k:] = seq[replay]
+    with _linalg.overflow_as(DomainViolation, "A - G_k C or G_k y_k leaves the double range"):
+        F = model.A - gains @ model.C
+        b = (gains @ y[:, :, None])[:, :, 0]
+    estimates = np.empty((T + 1, n))
+    estimates[0] = xhat = model.x0_mean
+    with _linalg.overflow_as(DomainViolation, lambda: f"filter estimate xhat_{k} leaves the double range"):
         if not (n <= _SCAN_MAX_N and _scan(F, b, estimates)):
-            try:
-                for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
-                    xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
-            except FloatingPointError as exc:
-                raise DomainViolation(
-                    f"filter estimate xhat_{k} leaves the double range ({exc})") from exc
+            for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
+                xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
     return FilterTrajectory(config=config, estimates=estimates, gains=gains, P_seq=P_seq,
                             V_seq=V_seq, theta_seq=theta_seq, cycle=cycle)
 
@@ -178,7 +172,9 @@ def _scan(F: np.ndarray, b: np.ndarray, estimates: np.ndarray) -> bool:
     the composition of steps k-2s+1 .. k as x -> M_k x + v_k, so v_k is
     xhat_{k+1} wherever that window reaches step 0. einsum ignores the
     floating-point flags, so the closing finite test, not a raised flag,
-    is what catches an overflowing run; a raised flag also returns False.
+    is what catches an overflowing run. Its matrix products rely on the
+    flags ``run_filter``'s estimate guard raises: a composition that
+    overflows returns False, and the step-by-step loop then decides.
     """
     T = b.shape[0]
     v = estimates[1:]

@@ -92,6 +92,8 @@ class StateSpaceModel:
         If any shape is inconsistent with the others.
     SingularDD
         If D Dᵀ is not positive definite.
+    ModelError
+        If D Dᵀ leaves the double range (``_linalg.overflow_as``).
     V0NotSPD
         If V0 is not symmetric positive definite.
 
@@ -126,7 +128,8 @@ class StateSpaceModel:
             raise DimensionMismatch(f"x0_mean must have shape ({n},), got {self.x0_mean.shape}")
         if self.V0.shape != (n, n):
             raise DimensionMismatch(f"V0 must have shape ({n}, {n}), got {self.V0.shape}")
-        DDt = self.D @ self.D.T
+        with _linalg.overflow_as(ModelError, "D Dᵀ leaves the double range"):
+            DDt = self.D @ self.D.T
         if not _linalg.is_spd(DDt):
             raise SingularDD("D Dᵀ is singular; every measurement needs a noise floor")
         asym = np.max(np.abs(self.V0 - self.V0.T), initial=0.0)
@@ -275,8 +278,9 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     result is a deterministic function of (model, steps, seed). A steps
     or seed that is not a nonnegative integer raises ConfigError. A state
     or observation that leaves the double range, as an unstable model's
-    does over enough steps, raises DomainViolation; for a state, the
-    message names it.
+    does over enough steps, raises DomainViolation (one
+    ``_linalg.overflow_as`` around the states, one around the
+    observations); for a state, the message names it.
     """
     steps = _integer(steps, 0, "steps must be a nonnegative integer, got {value!r}")
     seed = _integer(seed, 0, "seed must be a nonnegative integer, got {value!r}")
@@ -286,16 +290,11 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     states[:1] = model.x0_mean + L0 @ rng.standard_normal(model.n)  # no row when steps is 0
     v = rng.standard_normal((steps, model.m, 1))
     Bv = (model.B @ v)[:, :, 0]
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for k in range(1, steps):
-                states[k] = model.A @ states[k - 1] + Bv[k - 1]
-        except FloatingPointError as exc:
-            raise DomainViolation(f"simulated state x_{k} leaves the double range ({exc})") from exc
-        try:
-            observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
-        except FloatingPointError as exc:
-            raise DomainViolation(f"simulated observations leave the double range ({exc})") from exc
+    with _linalg.overflow_as(DomainViolation, lambda: f"simulated state x_{k} leaves the double range"):
+        for k in range(1, steps):
+            states[k] = model.A @ states[k - 1] + Bv[k - 1]
+    with _linalg.overflow_as(DomainViolation, "simulated observations leave the double range"):
+        observations = (model.C @ states[:, :, None] + model.D @ v)[:, :, 0]
     return Trajectory(states=states, observations=observations, seed=seed)
 
 

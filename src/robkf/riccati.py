@@ -175,10 +175,9 @@ def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
     the one after step j byte for byte, then (j, p) for good; from step j
     on the run repeats with period p. The cycle is logged at debug level
     when found. Nothing is stepped before the first value is asked for.
-    Its consumers raise numpy's overflow and invalid flags once around their
-    whole loop over it, not here, where the flags would span a yield; a step
-    that leaves the double range then raises FloatingPointError, which they
-    report as DomainViolation.
+    Its consumers enter ``_linalg.overflow_as`` once around their whole loop
+    over it, not here, where the guard would span a yield; a step that
+    leaves the double range then raises the DomainViolation they name.
     """
     theta = 0.0 if config.theta is None else config.theta
     V = _linalg.sym(V)
@@ -260,9 +259,11 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹; DimensionMismatch
-    unless V is n×n."""
-    return _gain_and_prediction(model, _linalg.square(V, "V", model.n),
-                                model.noise_covariances())[0]
+    unless V is n×n. It is formed by the gain-form step ``predict_covariance``
+    takes, and DomainViolation if that step leaves the double range."""
+    V = _linalg.square(V, "V", model.n)
+    with _linalg.overflow_as(DomainViolation, "gain-form step at V leaves the double range"):
+        return _gain_and_prediction(model, V, model.noise_covariances())[0]
 
 
 def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
@@ -270,10 +271,11 @@ def predict_covariance(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
 
     Algebraically identical to ``standard_riccati`` on uncorrelated
     models but valid for singular V and for B Dᵀ ≠ 0. DimensionMismatch
-    unless V is n×n.
+    unless V is n×n, and DomainViolation if the step leaves the double range.
     """
     V = _linalg.sym(_linalg.square(V, "V", model.n))
-    return _gain_and_prediction(model, V, model.noise_covariances())[1]
+    with _linalg.overflow_as(DomainViolation, "gain-form step at V leaves the double range"):
+        return _gain_and_prediction(model, V, model.noise_covariances())[1]
 
 
 def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
@@ -282,17 +284,19 @@ def standard_riccati(model: StateSpaceModel, P: np.ndarray) -> np.ndarray:
     Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
     Singular PSD inputs are handed to the gain form ``predict_covariance``,
     the same map on uncorrelated models, so the map can be started at B Bᵀ.
-    A P that is not n×n raises DimensionMismatch.
+    A P that is not n×n raises DimensionMismatch, and a map that leaves the
+    double range DomainViolation.
     """
     _require_uncorrelated(model)
     P = _linalg.square(P, "P", model.n)
-    try:
-        Pi = _linalg.inv_spd(P, "P")
-    except NotSPD:
-        _linalg.psd_spectrum(P, "P")
-        return predict_covariance(model, P)
-    X = _linalg.inv_spd(Pi + _observation_information(model), "P⁻¹ + Cᵀ(DDᵀ)⁻¹C")
-    return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
+    with _linalg.overflow_as(DomainViolation, "Riccati map of P leaves the double range"):
+        try:
+            Pi = _linalg.inv_spd(P, "P")
+        except NotSPD:
+            _linalg.psd_spectrum(P, "P")
+            return predict_covariance(model, P)
+        X = _linalg.inv_spd(Pi + _observation_information(model), "P⁻¹ + Cᵀ(DDᵀ)⁻¹C")
+        return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
 
 
 def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -300,29 +304,31 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
 
     Requires an uncorrelated model (B Dᵀ = 0): ModelError otherwise.
     Raises DomainViolation when P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C is not positive
-    definite (the map is undefined there), and DimensionMismatch unless
-    P and Phi are n×n.
+    definite (the map is undefined there) or the map leaves the double
+    range, and DimensionMismatch unless P and Phi are n×n.
     """
     _require_uncorrelated(model)
     P = _linalg.square(P, "P", model.n)
     Phi = _linalg.sym(_linalg.square(Phi, "Phi", model.n))
-    Pi = _linalg.inv_spd(P, "P")
-    core = Pi - Phi + _observation_information(model)
-    try:
-        X = _linalg.inv_spd(core, "P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C")
-    except NotSPD as exc:
-        raise DomainViolation(
-            "risk-sensitive map undefined: P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C is not positive definite"
-        ) from exc
-    return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
+    with _linalg.overflow_as(DomainViolation, "risk-sensitive map of P leaves the double range"):
+        core = _linalg.inv_spd(P, "P") - Phi + _observation_information(model)
+        try:
+            X = _linalg.inv_spd(core, "P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C")
+        except NotSPD as exc:
+            raise DomainViolation(
+                "risk-sensitive map undefined: P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C is not positive definite"
+            ) from exc
+        return _linalg.sym(model.A @ X @ model.A.T + model.B @ model.B.T)
 
 
 def _step(model: StateSpaceModel, config: FilterConfig, P: np.ndarray) -> RiccatiStep:
-    """Reweight P into V_in, then take one step of the recursion from V_in."""
-    V_in, theta_in = _reweight(config, _linalg.sym(_linalg.square(P, "P", model.n)))
-    G, P_next, V, theta = _covariance_step(model, config, model.noise_covariances(),
-                                           V_in, theta_in)
-    return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
+    """Reweight P into V_in, then take one step of the recursion from V_in;
+    DomainViolation if the step leaves the double range."""
+    with _linalg.overflow_as(DomainViolation, "the step from P leaves the double range"):
+        V_in, theta_in = _reweight(config, _linalg.sym(_linalg.square(P, "P", model.n)))
+        G, P_next, V, theta = _covariance_step(model, config, model.noise_covariances(),
+                                               V_in, theta_in)
+        return RiccatiStep(P_next=P_next, V=V, theta=theta, G=G, Phi=phi_gap(P_next, V))
 
 
 def _step_config(**params) -> FilterConfig:
@@ -345,7 +351,8 @@ def robust_step(model: StateSpaceModel, P: np.ndarray, c: float, tau: float) -> 
     step of the gain-form kernel a filter run uses, so G and P_next equal
     ``gain`` and ``predict_covariance`` at the incoming V bit for bit.
     A tau outside [0, 1] or a c that is not finite and positive raises
-    DomainViolation; a P that is not n×n raises DimensionMismatch.
+    DomainViolation, and so does a step that leaves the double range; a P
+    that is not n×n raises DimensionMismatch.
     """
     return _step(model, _step_config(kind="robust", tau=tau, c=c), P)
 
@@ -358,9 +365,9 @@ def risk_sensitive_step(
     For 0 < tau < 1 the reweighting domain sigma1(P) < 1/(theta (1-tau))
     is checked on both the incoming and outgoing covariance; leaving it
     raises DomainViolation (detected, not prevented), as does a tau
-    outside [0, 1] or a theta that is not finite and positive. Steps
-    through the same gain-form kernel as ``robust_step``; a P that is not
-    n×n raises DimensionMismatch.
+    outside [0, 1] or a theta that is not finite and positive, or a step
+    that leaves the double range. Steps through the same gain-form kernel
+    as ``robust_step``; a P that is not n×n raises DimensionMismatch.
     """
     return _step(model, _step_config(kind="risk_sensitive", tau=tau, theta=theta), P)
 
@@ -413,7 +420,10 @@ def iterate_to_fixed_point(
         −1e-10·max(1, |λ_max|); a singular PSD start is accepted.
     DomainViolation
         Naming the first iterate P_k that leaves the double range, as an
-        unobservable unstable mode makes it do.
+        unobservable unstable mode makes it do (``_linalg.overflow_as``
+        around the whole iteration). Past that, the report's fields are
+        finite or inf: its norms are scaled by a power of two, exactly, so
+        their squares do not overflow.
     """
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not _as_float(tol) > 0.0:
@@ -424,29 +434,28 @@ def iterate_to_fixed_point(
 
     steps, P_prev, cycle = [], None, None
     walk = enumerate(_walk(model, config, V), 1)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for iterations, (G_k, P_star, V_next, th, found) in walk:
-                V_k, V = V, V_next
-                try:
-                    dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
-                except (NotSPD, DomainViolation):
-                    dist = math.inf
-                steps.append(dist)
-                P_prev = P_star
-                # a cycle found after the previous step makes this one its closing step
-                if dist <= tol or cycle is not None:
-                    break
-                cycle = found
-                if iterations == max_iter:
-                    break
-        except FloatingPointError as exc:
-            raise DomainViolation(f"covariance P_{len(steps) + 1} leaves the double range "
-                                  f"({exc})") from exc
+    with _linalg.overflow_as(DomainViolation,
+                             lambda: f"covariance P_{len(steps) + 1} leaves the double range"):
+        for iterations, (G_k, P_star, V_next, th, found) in walk:
+            V_k, V = V, V_next
+            try:
+                dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
+            except (NotSPD, DomainViolation):
+                dist = math.inf
+            steps.append(dist)
+            P_prev = P_star
+            # a cycle found after the previous step makes this one its closing step
+            if dist <= tol or cycle is not None:
+                break
+            cycle = found
+            if iterations == max_iter:
+                break
 
     G_star = gain(model, V)
     AGC, BGD = model.A - G_k @ model.C, model.B - G_k @ model.D
-    residual = np.linalg.norm(P_star - (AGC @ V_k @ AGC.T + BGD @ BGD.T))
+    # both norms scaled by one power of two, exactly, so that no square overflows
+    s = 2.0 ** -max(0, int(np.frexp(np.abs(P_star).max())[1]))
+    residual = np.linalg.norm(s * (P_star - (AGC @ V_k @ AGC.T + BGD @ BGD.T)))
     report = FixedPointReport(
         P_star=P_star,
         V_star=V,
@@ -455,7 +464,7 @@ def iterate_to_fixed_point(
         iterations=iterations,
         final_step_distance=dist,
         spectral_radius_closed_loop=_linalg.spectral_radius(model.A - G_star @ model.C),
-        identity_residual=float(residual / max(1.0, np.linalg.norm(P_star))),
+        identity_residual=float(residual / max(s, np.linalg.norm(s * P_star))),
         cycle=cycle,
         cycle_max_step=(max(steps[-cycle[1]:])
                         if cycle is not None and iterations > sum(cycle) else None),

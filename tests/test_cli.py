@@ -245,6 +245,20 @@ def test_simulated_observations_past_the_double_range_exit_3(model_file, capsys)
                         captured.err)
 
 
+@pytest.mark.parametrize("field, code, what", [("B", 3, "burn-in from B Bᵀ"), ("D", 2, "D Dᵀ")],
+                         ids=["B", "D"])
+def test_certify_past_the_double_range_names_the_quantity(model_file, capsys, field, code, what):
+    # B or D scaled by 1e160 takes B Bᵀ or D Dᵀ past the largest double
+    payload = json.loads(Path(model_file).read_text())
+    payload[field] = (1e160 * np.asarray(payload[field])).tolist()
+    Path(model_file).write_text(json.dumps(payload))
+    assert main(["certify", "--model", model_file, "--tau", "0.5"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {what} leaves the double range \(overflow encountered in matmul\)\n",
+                        captured.err)
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, robkf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -81,6 +81,17 @@ def test_divergence_mean_terms():
     assert tau_divergence(same_cov, f, 1.0) == np.inf
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("m_tilde,m", [([1e308, 0.0], [-1e308, 0.0]),
+                                       ([-1e308, 0.0], [1e308, 0.0]),
+                                       ([1e300, 0.0], [0.0, 0.0])])
+def test_divergence_of_means_past_the_double_range_is_inf(m_tilde, m, tau):
+    # the mean difference, or its squared norm, passes the largest double
+    got = tau_divergence(GaussianDensity(mean=m_tilde, cov=np.eye(2)),
+                         GaussianDensity(mean=m, cov=np.eye(2)), tau)
+    assert got == np.inf
+
+
 def test_divergence_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         tau_divergence(GaussianDensity(mean=np.zeros(2), cov=np.eye(2)),

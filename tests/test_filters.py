@@ -271,6 +271,21 @@ def test_estimates_scan_up_to_six_states_and_loop_above(n, scanned, monkeypatch)
         assert np.array_equal(ft.estimates, _reference_run(model, ft.config, y)[0])
 
 
+def test_scan_returns_false_where_its_compositions_overflow():
+    # F_2 F_1 = diag(1e400, 1) overflows, which the raised flags catch, while every
+    # estimate of the step-by-step update stays (0, 1)
+    T = 4
+    F = np.tile(np.diag([1e200, 1.0]), (T, 1, 1))
+    b = np.zeros((T, 2))
+    estimates = np.empty((T + 1, 2))
+    estimates[0] = xhat = [0.0, 1.0]
+    with _linalg.overflow_as(DomainViolation, "estimates leave the double range"):
+        assert filters._scan(F, b, estimates) is False
+        for F_k, b_k in zip(F, b):
+            xhat = F_k @ xhat + b_k
+            assert xhat.tolist() == [0.0, 1.0]
+
+
 def _scalar_model():
     return StateSpaceModel(A=[[0.5]], B=[[1.0, 0.0]], C=[[1.0]], D=[[0.0, 1.0]],
                            x0_mean=np.zeros(1), V0=np.eye(1))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,26 +7,39 @@ import scipy.linalg as sla
 
 from robkf import (
     DimensionMismatch,
+    DomainViolation,
     FilterConfig,
     GaussianDensity,
+    MaxIterExceeded,
+    ModelError,
     NotSPD,
+    StateSpaceModel,
+    certify,
+    gain,
     iterate_to_fixed_point,
+    predict_covariance,
+    risk_sensitive_map,
+    risk_sensitive_step,
+    robust_step,
     run_filter,
     simulate,
+    standard_riccati,
     tau_divergence,
     thompson_metric,
+    v_update,
 )
 from robkf._linalg import (
     cholesky_spd,
     eigh,
     eigvalsh_sym,
     is_spd,
+    overflow_as,
     solve,
     solve_symmetric_spd,
     square,
 )
 
-from conftest import random_model
+from conftest import example_matrices, random_model
 
 
 def test_non_finite_matrix_is_not_spd():
@@ -166,3 +180,93 @@ def test_filter_stream_pass_makes_no_numpy_linalg_calls(example_model, monkeypat
     iterate_to_fixed_point(example_model, np.eye(2))
     iterate_to_fixed_point(example_model, np.eye(2), "robust", tau=0.5, c=0.10)
     assert calls == []
+
+
+def test_overflow_as_raises_the_callers_error_with_numpys_message():
+    built = []
+
+    def message():
+        built.append(1)
+        return "x leaves the double range"
+
+    with overflow_as(DomainViolation, message):
+        np.array([1e300]) * 10.0
+    assert built == []  # built only when the guard fires
+    with pytest.raises(DomainViolation) as info:
+        with overflow_as(DomainViolation, message):
+            np.array([1e300]) * 1e300
+    assert str(info.value) == "x leaves the double range (overflow encountered in multiply)"
+    assert isinstance(info.value.__cause__, FloatingPointError) and built == [1]
+    with pytest.raises(NotSPD, match=r"^lifted \(invalid value encountered in subtract\)$"):
+        with overflow_as(NotSPD, "lifted"):
+            np.array([np.inf]) - np.inf
+    with pytest.raises(ZeroDivisionError):  # other errors pass through as they are
+        with overflow_as(DomainViolation, message):
+            1 / 0
+    # the LAPACK helpers nest inside: a failed Cholesky still maps to NotSPD,
+    # and an LU solve that overflows to inf raises nothing
+    with overflow_as(DomainViolation, message):
+        with pytest.raises(NotSPD, match="is not symmetric positive definite"):
+            cholesky_spd(np.diag([1.0, -1.0]))
+        x = solve(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
+    assert x.tolist() == [np.inf, 1.0] and len(built) == 1
+
+
+def _example(a=1.0, b=1.0, c=1.0, d=1.0):
+    """The README example with A, B, C and D scaled."""
+    A, B, C, D = example_matrices()
+    return StateSpaceModel(A=a * A, B=b * B, C=c * C, D=d * D, x0_mean=np.zeros(2),
+                           V0=np.eye(2))
+
+
+# With A scaled by 1e160, A P Aᵀ passes the largest double at P = I; with B by
+# 1e160, B Bᵀ; with C by 1e-160, phi_N's J_N Omega_N⁻¹ J_Nᵀ; with D by 1e160, D Dᵀ.
+_PAST_THE_RANGE = {
+    "gain": (lambda: gain(_example(a=1e160), np.eye(2)),
+             DomainViolation, "gain-form step at V"),
+    "predict_covariance": (lambda: predict_covariance(_example(a=1e160), np.eye(2)),
+                           DomainViolation, "gain-form step at V"),
+    "standard_riccati": (lambda: standard_riccati(_example(a=1e160), np.eye(2)),
+                         DomainViolation, "Riccati map of P"),
+    "risk_sensitive_map": (lambda: risk_sensitive_map(_example(a=1e160), np.eye(2),
+                                                      1e-3 * np.eye(2)),
+                           DomainViolation, "risk-sensitive map of P"),
+    "robust_step": (lambda: robust_step(_example(a=1e160), np.eye(2), 0.1, 0.5),
+                    DomainViolation, "the step from P"),
+    "risk_sensitive_step": (lambda: risk_sensitive_step(_example(a=1e160), np.eye(2), 1e-3, 1.0),
+                            DomainViolation, "the step from P"),
+    "v_update_weights": (lambda: v_update(1e300 * np.eye(2), 1e-300, 0.0),
+                         DomainViolation, r"P f\(P\)"),
+    "v_update_domain": (lambda: v_update(1e20 * np.eye(2), 1e300, 0.5),
+                        DomainViolation, r"P f\(P\)"),
+    "certify_burn_in": (lambda: certify(_example(b=1e160), 0.5),
+                        DomainViolation, "burn-in from B Bᵀ"),
+    "certify_phi_N": (lambda: certify(_example(c=1e-160), 0.5),
+                      DomainViolation, "J_N Omega_N⁻¹ J_Nᵀ"),
+    "model_DDt": (lambda: _example(d=1e160), ModelError, "D Dᵀ"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_THE_RANGE))
+def test_past_the_double_range_raises_a_typed_error_without_a_warning(name):
+    # the suite turns every warning into an error, so a numpy RuntimeWarning
+    # before the error fails this test
+    call, error, what = _PAST_THE_RANGE[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error  # D Dᵀ overflowed: it is not a SingularDD
+    assert re.fullmatch(rf"{what} leaves the double range \(overflow encountered in \w+\)",
+                        str(info.value))
+
+
+def test_fixed_point_report_past_the_double_range_has_no_nan():
+    # C scaled by 1e-300 leaves the growing mode unobserved: P_k grows past 1e160,
+    # so the report's Frobenius norms square past the largest double
+    with pytest.raises(MaxIterExceeded) as info:
+        iterate_to_fixed_point(_example(c=1e-300), 1e160 * np.eye(2), max_iter=50)
+    report = info.value.report
+    assert np.abs(report.P_star).max() > 1e160
+    for value in (report.final_step_distance, report.spectral_radius_closed_loop,
+                  report.identity_residual):
+        assert not np.isnan(value)
+    assert 0.0 <= report.identity_residual <= 1e-12
