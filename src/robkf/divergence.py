@@ -50,8 +50,6 @@ THETA_RTOL = 1e-10
 # Relative gap kept below the tau < 1 domain boundary theta (1-tau) sigma1(P) = 1.
 _EDGE_EPS = 1e-12
 _MAX_ITER = 200
-# np.exp overflows exactly for arguments above the log of the largest double.
-_EXP_MAX = math.log(np.finfo(float).max)
 # For |u| < _SERIES_U the divergence is summed from its power series in u
 # up to u^_SERIES_ORDER; the first omitted term is below 1e-19 of the sum.
 _SERIES_U = 0.5
@@ -328,7 +326,9 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
 
 def _reweighting_weights(w: np.ndarray, theta: float, tau: float) -> np.ndarray:
     """w f(w) for theta > 0 and the ascending eigenvalues w > 0 of P: the
-    spectrum of v_update(P, theta, tau), with its domain checks."""
+    spectrum of v_update(P, theta, tau), with its domain check for tau < 1.
+    Its callers run it under ``_linalg.overflow_as``, which reports a
+    tau = 1 exponential that overflows."""
     if tau < 1.0:
         y = 1.0 - theta * (1.0 - tau) * w
         if y[-1] <= 0.0:
@@ -337,10 +337,7 @@ def _reweighting_weights(w: np.ndarray, theta: float, tau: float) -> np.ndarray:
             )
         f = np.power(y, 1.0 / (tau - 1.0))
     else:
-        x = theta * w
-        if x[-1] > _EXP_MAX:
-            raise DomainViolation(f"theta={theta:.6e} overflows exp(theta P)")
-        f = np.exp(x)
+        f = np.exp(theta * w)
     return w * f
 
 

@@ -113,7 +113,8 @@ def run_filter(
     DimensionMismatch if observations are not a numeric (T, p) array, and
     ModelError if they hold a non-finite value, and lets DomainViolation
     from a risk-sensitive theta outside the admissible range propagate. A
-    prediction covariance that leaves the double range raises
+    prediction covariance that leaves the double range, or whose
+    reweighting does (a tau = 1 theta past exp's range), raises
     DomainViolation naming the first such P_k, as an unobservable
     unstable mode makes it do. An A - G_k C or G_k y_k past the double
     range raises DomainViolation, and so does an estimate that leaves it,
@@ -155,7 +156,8 @@ def run_filter(
         b = (gains @ y[:, :, None])[:, :, 0]
     estimates = np.empty((T + 1, n))
     estimates[0] = xhat = model.x0_mean
-    with _linalg.overflow_as(DomainViolation, lambda: f"filter estimate xhat_{k} leaves the double range"):
+    with _linalg.overflow_as(DomainViolation,
+                             lambda: f"filter estimate xhat_{k} leaves the double range"):
         if not (n <= _SCAN_MAX_N and _scan(F, b, estimates)):
             for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
                 xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)

@@ -311,7 +311,8 @@ def risk_sensitive_map(model: StateSpaceModel, P: np.ndarray, Phi: np.ndarray) -
     P = _linalg.square(P, "P", model.n)
     Phi = _linalg.sym(_linalg.square(Phi, "Phi", model.n))
     with _linalg.overflow_as(DomainViolation, "risk-sensitive map of P leaves the double range"):
-        core = _linalg.inv_spd(P, "P") - Phi + _observation_information(model)
+        Pi = _linalg.inv_spd(P, "P")
+        core = Pi - Phi + _observation_information(model)
         try:
             X = _linalg.inv_spd(core, "P⁻¹ − Phi + Cᵀ(DDᵀ)⁻¹C")
         except NotSPD as exc:
@@ -419,11 +420,11 @@ def iterate_to_fixed_point(
         If start is not finite or has an eigenvalue below
         −1e-10·max(1, |λ_max|); a singular PSD start is accepted.
     DomainViolation
-        Naming the first iterate P_k that leaves the double range, as an
-        unobservable unstable mode makes it do (``_linalg.overflow_as``
-        around the whole iteration). Past that, the report's fields are
-        finite or inf: its norms are scaled by a power of two, exactly, so
-        their squares do not overflow.
+        Naming the first iterate P_k that leaves the double range, or whose
+        reweighting does, as an unobservable unstable mode makes it do
+        (``_linalg.overflow_as`` around the whole iteration). Past that,
+        the report's fields are finite or inf: its norms are scaled by a
+        power of two, exactly, so their squares do not overflow.
     """
     config = FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)
     if not _as_float(tol) > 0.0:

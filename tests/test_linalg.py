@@ -239,6 +239,7 @@ _PAST_THE_RANGE = {
                          DomainViolation, r"P f\(P\)"),
     "v_update_domain": (lambda: v_update(1e20 * np.eye(2), 1e300, 0.5),
                         DomainViolation, r"P f\(P\)"),
+    "v_update_exp": (lambda: v_update(np.eye(2), 1e3, 1.0), DomainViolation, r"P f\(P\)"),
     "certify_burn_in": (lambda: certify(_example(b=1e160), 0.5),
                         DomainViolation, "burn-in from B Bᵀ"),
     "certify_phi_N": (lambda: certify(_example(c=1e-160), 0.5),
