@@ -438,8 +438,8 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     f.cov⁻¹ for tau < 1, +inf where it passes the largest double (its
     norm comes from the halved difference by math.hypot, within 1e-15
     relative of the direct sum of squares); at tau = 1 any nonzero mean
-    difference makes the divergence +inf. Invariant under the choice of symmetric factor
-    of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
+    difference makes the divergence +inf. Invariant under the choice of
+    symmetric factor of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
     covariance part is evaluated in u = log lam, from its power series where
     the closed forms above cancel (lam near 1). The lam are the squared
     singular values of the whitened Cholesky factor of f_tilde.cov, rescaled by

@@ -259,8 +259,9 @@ def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):
 
 def gain(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
     """Filter gain G = (A V Cᵀ + B Dᵀ)(C V Cᵀ + D Dᵀ)⁻¹; DimensionMismatch
-    unless V is n×n. It is formed by the gain-form step ``predict_covariance``
-    takes, and DomainViolation if that step leaves the double range."""
+    unless V is n×n. G comes from the gain-form step ``predict_covariance``
+    takes, and DomainViolation if that step leaves the double range, the
+    prediction it discards included."""
     V = _linalg.square(V, "V", model.n)
     with _linalg.overflow_as(DomainViolation, "gain-form step at V leaves the double range"):
         return _gain_and_prediction(model, V, model.noise_covariances())[0]
