@@ -156,8 +156,7 @@ def run_filter(
         b = (gains @ y[:, :, None])[:, :, 0]
     estimates = np.empty((T + 1, n))
     estimates[0] = xhat = model.x0_mean
-    with _linalg.overflow_as(DomainViolation,
-                             lambda: f"filter estimate xhat_{k} leaves the double range"):
+    with _linalg.overflow_as(DomainViolation, lambda: f"filter estimate xhat_{k} leaves the double range"):
         if not (n <= _SCAN_MAX_N and _scan(F, b, estimates)):
             for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
                 xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)

@@ -290,8 +290,7 @@ def simulate(model: StateSpaceModel, steps: int, seed: int) -> Trajectory:
     states[:1] = model.x0_mean + L0 @ rng.standard_normal(model.n)  # no row when steps is 0
     v = rng.standard_normal((steps, model.m, 1))
     Bv = (model.B @ v)[:, :, 0]
-    with _linalg.overflow_as(DomainViolation,
-                             lambda: f"simulated state x_{k} leaves the double range"):
+    with _linalg.overflow_as(DomainViolation, lambda: f"simulated state x_{k} leaves the double range"):
         for k in range(1, steps):
             states[k] = model.A @ states[k - 1] + Bv[k - 1]
     with _linalg.overflow_as(DomainViolation, "simulated observations leave the double range"):
