@@ -70,7 +70,6 @@ PSD_RTOL = 1e-10
 RANK_REL_TOL = 1e-10
 # The smallest normal double; below it a singular value has lost precision.
 _TINY = float(np.finfo(float).tiny)
-_INDEFINITE = "{what} is not positive semidefinite (min eigenvalue {low:.3e})"
 
 
 class overflow_as(np.errstate):
@@ -233,13 +232,12 @@ def eigh_sym(M: np.ndarray):
     return eigh(sym(M))
 
 
-def psd_spectrum(M: np.ndarray, what: str, indefinite: str = _INDEFINITE,
-                 eig=eigvalsh_sym) -> np.ndarray:
-    """Ascending eigenvalues eig(M) of the finite M; NotSPD with ``indefinite``
-    if the lowest lies below −PSD_RTOL·max(1, |λ_max|)."""
+def psd_spectrum(M: np.ndarray, what: str, eig=eigvalsh_sym) -> np.ndarray:
+    """Ascending eigenvalues eig(M) of the finite M; NotSPD if the lowest lies
+    below −PSD_RTOL·max(1, |λ_max|)."""
     w = eig(finite(M, what))
     if w[0] < -PSD_RTOL * max(1.0, abs(w[-1])):
-        raise NotSPD(indefinite.format(what=what, low=w[0]))
+        raise NotSPD(f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return w
 
 

@@ -3,7 +3,10 @@
 Everything here reduces to eigenvalue computations: the divergence
 between two Gaussians, the radius function gamma(P, theta), its inverse
 solve_theta, the reweighted covariance v_update, and the bounds on the
-inverse gap Phi = P⁻¹ − V⁻¹.
+inverse gap Phi = P⁻¹ − V⁻¹. ``_least_favorable`` is the one reweighting
+P -> V = P f(P) of the package: ``v_update`` and every covariance
+recursion of ``riccati`` call it, with the theta solve folded in for the
+robust filter, so both share one eigendecomposition of P.
 
 gamma and its theta-derivative are one pass over the n eigenvalues of P
 in Python floats with ``math``: per evaluation 2-4 µs at n = 2 and
@@ -117,19 +120,14 @@ def _check_theta(theta: float) -> float:
 def _psd_spectrum(P: np.ndarray, eig=_linalg.eigvalsh_sym) -> np.ndarray:
     """Ascending eigenvalues of the square P (by ``eig``) clipped at zero; NotSPD
     unless P is finite and not clearly indefinite."""
-    w = _linalg.psd_spectrum(_linalg.square(P, "P"), "P",
-                             "P has a negative eigenvalue ({low:.3e})", eig)
-    return np.clip(w, 0.0, None)
+    return np.clip(_linalg.psd_spectrum(_linalg.square(P, "P"), "P", eig), 0.0, None)
 
 
-def _positive_eigh(P: np.ndarray):
-    """Eigendecomposition (w ascending, U) of the exactly symmetric P; NotSPD,
-    naming its lowest and highest eigenvalue, unless P is finite and
-    positive definite."""
-    w, U = _linalg.eigh(_linalg.finite(P, "P"))
-    if not w[0] > 0.0:
-        raise NotSPD(f"P is not symmetric positive definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
-    return w, U
+def _outside_domain(theta: float, bound: str) -> DomainViolation:
+    """The error for a theta past the tau < 1 domain, theta (1-tau) bound >= 1."""
+    return DomainViolation(
+        f"theta={theta:.6e} outside the domain: theta*(1-tau)*{bound} must be < 1"
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -176,9 +174,7 @@ def _gamma_and_slope(d: list[float], theta: float, tau: float,
         a = 1.0 - tau
         t = theta * a
         if t * d[-1] >= 1.0:
-            raise DomainViolation(
-                f"theta={theta:.6e} outside the domain: theta*(1-tau)*sigma1(P) must be < 1"
-            )
+            raise _outside_domain(theta, "sigma1(P)")
         for w in d:
             x = t * w
             g, s = _g(-math.log1p(-x) / a, tau, coef)
@@ -324,27 +320,31 @@ def _theta_on(d: np.ndarray, c: float, tau: float, theta: float = 0.0) -> float:
     )
 
 
-def _reweighting_weights(w: np.ndarray, theta: float, tau: float) -> np.ndarray:
-    """w f(w) for theta > 0 and the ascending eigenvalues w > 0 of P: the
-    spectrum of v_update(P, theta, tau), with its domain check for tau < 1.
+def _least_favorable(P: np.ndarray, tau: float, theta: float,
+                     c: float | None = None) -> tuple[np.ndarray, float]:
+    """(v_update(P, theta, tau), theta) for the exactly symmetric P, theta
+    first solved against the radius c from theta as a warm start when c is
+    given; the one reweighting of the package.
+
+    One eigendecomposition P = U diag(w) Uᵀ serves the positive definiteness
+    test (NotSPD naming the lowest and highest eigenvalue), the theta solve,
+    the weights w f(w) with their tau < 1 domain test, and U diag(w f(w)) Uᵀ.
     Its callers run it under ``_linalg.overflow_as``, which reports a
-    tau = 1 exponential that overflows."""
+    tau = 1 exponential that overflows.
+    """
+    w, U = _linalg.eigh(_linalg.finite(P, "P"))
+    if not w[0] > 0.0:
+        raise NotSPD(f"P is not symmetric positive definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
+    if c is not None:
+        theta = _theta_on(w, c, tau, theta)
     if tau < 1.0:
         y = 1.0 - theta * (1.0 - tau) * w
         if y[-1] <= 0.0:
-            raise DomainViolation(
-                f"theta={theta:.6e} outside the domain: theta*(1-tau)*sigma1(P) must be < 1"
-            )
+            raise _outside_domain(theta, "sigma1(P)")
         f = np.power(y, 1.0 / (tau - 1.0))
     else:
         f = np.exp(theta * w)
-    return w * f
-
-
-def _reweighted(U: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """U diag(wf) Uᵀ, symmetrized, for the eigenvectors U of P and the
-    weights wf = w f(w) of ``_reweighting_weights``."""
-    return _linalg.sym((U * wf) @ U.T)
+    return _linalg.sym((U * (w * f)) @ U.T), theta
 
 
 def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
@@ -359,7 +359,9 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     U diag(w f(w)) Uᵀ, from one symmetric eigendecomposition of P; it
     equals L f(Lᵀ L) Lᵀ for every factor L with P = L Lᵀ. For theta > 0
     the result dominates P strictly (V > P in the Loewner order); at
-    theta = 0 it equals P.
+    theta = 0 it equals P. The reweighting is ``_least_favorable``, the
+    one the covariance recursions of ``riccati`` run, so a filter step
+    with this theta gives the same V bit for bit.
 
     Raises
     ------
@@ -378,8 +380,7 @@ def v_update(P: np.ndarray, theta: float, tau: float) -> np.ndarray:
     if theta == 0.0:
         return P
     with _linalg.overflow_as(DomainViolation, "P f(P) leaves the double range"):
-        w, U = _positive_eigh(P)
-        return _reweighted(U, _reweighting_weights(w, theta, tau))
+        return _least_favorable(P, tau, theta)[0]
 
 
 def phi_gap(P: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -417,9 +418,7 @@ def phi_upper_bound(theta: float, tau: float, d_bar: float) -> float:
     if tau < 1.0:
         x = theta * (1.0 - tau) * d_bar
         if x >= 1.0:
-            raise DomainViolation(
-                f"theta={theta:.6e} outside the domain: theta*(1-tau)*d_bar must be < 1"
-            )
+            raise _outside_domain(theta, "d_bar")
         return -np.expm1(np.log1p(-x) / (1.0 - tau)) / d_bar
     return -np.expm1(-theta * d_bar) / d_bar
 

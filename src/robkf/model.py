@@ -132,8 +132,10 @@ class StateSpaceModel:
             DDt = self.D @ self.D.T
         if not _linalg.is_spd(DDt):
             raise SingularDD("D Dᵀ is singular; every measurement needs a noise floor")
-        asym = np.max(np.abs(self.V0 - self.V0.T), initial=0.0)
-        if asym > 1e-10 * (1.0 + np.max(np.abs(self.V0), initial=0.0)):
+        # half the asymmetry, from halves as _linalg.sym takes them, stays finite
+        h = 0.5 * self.V0
+        asym = np.max(np.abs(h - h.T), initial=0.0)
+        if asym > 0.5e-10 * (1.0 + np.max(np.abs(self.V0), initial=0.0)):
             raise V0NotSPD("V0 is not symmetric")
         if not _linalg.is_spd(self.V0):
             raise V0NotSPD("V0 is not positive definite")
@@ -244,6 +246,9 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
     ------
     NotReachable, NotObservable
         If the transformed pair fails its rank test (see NormalizedModel).
+    DomainViolation
+        If B Bᵀ, B Dᵀ, Ã or B̃ B̃ᵀ leaves the double range
+        (``_linalg.overflow_as``).
     """
     if isinstance(model, NormalizedModel):
         return model
@@ -252,11 +257,13 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
             A=model.A, B=model.B, C=model.C, D=model.D,
             x0_mean=model.x0_mean, V0=model.V0,
         )
-    BBt, BDt, DDt = model.noise_covariances()
     n, m, p = model.n, model.m, model.p
-    W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
-    A_t = model.A - BDt @ W[:, :n]
-    Sigma = _linalg.sym(BBt - BDt @ W[:, n:])
+    with _linalg.overflow_as(DomainViolation,
+                             "normalized process noise B̃ B̃ᵀ or Ã leaves the double range"):
+        BBt, BDt, DDt = model.noise_covariances()
+        W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
+        A_t = model.A - BDt @ W[:, :n]
+        Sigma = _linalg.sym(BBt - BDt @ W[:, n:])
     B_hat = _linalg.truncated_sqrt(Sigma)
     r = B_hat.shape[1]
     log.debug("normalize: reduced process noise rank %d of %d", r, n)

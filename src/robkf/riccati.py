@@ -3,23 +3,23 @@
 Three covariance recursions share one skeleton: propagate a conditional
 covariance V through the dynamics, then reweight the prediction P into
 the next V. ``FilterConfig`` names the recursion and its parameters, and
-``_reweight`` is the one reweighting step every caller shares: the
-standard filter keeps V = P, the robust filter solves for the theta
-meeting its divergence budget c at every step, and the risk-sensitive
-filter applies a fixed theta. The robust reweighting factors P once,
-for the theta solve and the reweighting both, and starts the solve from
-the previous step's theta. ``_covariance_step`` is the one step of the
-recursions: one gain-form step (``predict_covariance``) of a config's
-n×n V, then ``_reweight``. ``_walk`` is the one loop over it: it starts a
-run at V symmetrized with its theta_0, steps it, and marks its cycle, the
-first byte-exact repeat of its (V, theta). A filter run
-(``filters.run_filter``) follows it until the run has repeated, and
-stores and replays the steps itself; ``iterate_to_fixed_point`` follows
-it until a step meets tol or closes the cycle; the single-step
-recursions call ``_covariance_step`` once. So a fixed point, a single
-step and a filter run are the same arithmetic, and take a correlated
-model (B Dᵀ ≠ 0) as given; ``filters.compare_filters`` is a
-``run_filter`` per config.
+``_reweight`` maps a config onto the one reweighting of the package,
+``divergence._least_favorable``: the standard filter keeps V = P, the
+robust filter solves for the theta meeting its divergence budget c at
+every step, starting from the previous step's theta, and the
+risk-sensitive filter applies a fixed theta. One eigendecomposition of P
+serves the theta solve and the reweighting both. ``_covariance_step`` is
+the one step of the recursions: one gain-form step
+(``predict_covariance``) of a config's n×n V, then ``_reweight``.
+``_walk`` is the one loop over it: it starts a run at V symmetrized with
+its theta_0, steps it, and marks its cycle, the first byte-exact repeat
+of its (V, theta). A filter run (``filters.run_filter``) follows it
+until the run has repeated, and stores and replays the steps itself;
+``iterate_to_fixed_point`` follows it until a step meets tol or closes
+the cycle; the single-step recursions call ``_covariance_step`` once.
+So a fixed point, a single step and a filter run are the same
+arithmetic, and take a correlated model (B Dᵀ ≠ 0) as given;
+``filters.compare_filters`` is a ``run_filter`` per config.
 The information-form maps ``standard_riccati`` and ``risk_sensitive_map``
 are the paper's formulas, kept for analysis and as references; no
 recursion steps through them, and only they need B Dᵀ = 0.
@@ -37,14 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robkf import _linalg
-from robkf.divergence import (
-    _as_float,
-    _positive_eigh,
-    _reweighted,
-    _reweighting_weights,
-    _theta_on,
-    phi_gap,
-)
+from robkf.divergence import _as_float, _least_favorable, phi_gap
 from robkf.errors import (
     ConfigError,
     DomainViolation,
@@ -132,20 +125,17 @@ def _reweight(config: FilterConfig, P: np.ndarray,
     """Reweight the exactly symmetric prediction covariance P into the
     conditional covariance V.
 
-    Returns (V, theta): V = P and theta = 0 for the standard kind, theta
-    solved against the budget c for the robust kind, the fixed theta for
-    the risk-sensitive kind. The robust solve starts from theta, the
-    previous step's (0 gives a cold start). One eigendecomposition of P
-    serves the solve and the reweighting.
+    Returns (V, theta): V = P and theta = 0 for the standard kind, and
+    otherwise ``divergence._least_favorable`` at config's tau, with theta
+    solved against the budget c for the robust kind, from theta, the
+    previous step's (0 gives a cold start), and the fixed theta for the
+    risk-sensitive kind.
     """
     if config.kind == "standard":
         return P, 0.0
-    w, U = _positive_eigh(P)
     if config.kind == "robust":
-        theta = _theta_on(w, config.c, config.tau, theta)
-    else:
-        theta = config.theta
-    return _reweighted(U, _reweighting_weights(w, theta, config.tau)), theta
+        return _least_favorable(P, config.tau, theta, config.c)
+    return _least_favorable(P, config.tau, config.theta)
 
 
 def _covariance_step(model: StateSpaceModel, config: FilterConfig, noise,

@@ -69,6 +69,14 @@ def test_bad_v0_rejected(V0):
         StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=np.zeros(2), V0=V0)
 
 
+def test_v0_asymmetry_past_the_largest_double_rejected_without_a_warning():
+    # V0 - V0ᵀ overflows; the suite turns a numpy RuntimeWarning into an error
+    A, B, C, D = example_matrices()
+    with pytest.raises(V0NotSPD, match="^V0 is not symmetric$"):
+        StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=np.zeros(2),
+                        V0=[[1e308, -1e308], [1e308, 1e308]])
+
+
 def test_non_finite_rejected():
     A, B, C, D = example_matrices()
     A = A.copy()
