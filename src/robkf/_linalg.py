@@ -48,25 +48,24 @@ __all__ = [
     "finite",
     "psd_spectrum",
     "cholesky_spd",
-    "solve_spd",
     "solve_symmetric_spd",
     "solve",
     "inv_spd",
     "is_spd",
     "eigvalsh_sym",
     "eigh",
-    "eigh_sym",
     "spectral_radius",
     "log_eigenvalues",
     "thompson_distance",
     "truncated_sqrt",
-    "rank_from_singular_values",
+    "krylov_rank",
 ]
 
 
 # An eigenvalue below −PSD_RTOL·max(1, |λ_max|) makes a matrix indefinite.
 PSD_RTOL = 1e-10
-# Singular values at or below RANK_REL_TOL·σ_max do not count towards a rank.
+# Singular values at or below RANK_REL_TOL·σ_max do not count towards a rank
+# (``krylov_rank``).
 RANK_REL_TOL = 1e-10
 # The smallest normal double; below it a singular value has lost precision.
 _TINY = float(np.finfo(float).tiny)
@@ -158,13 +157,8 @@ def cholesky_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
         return _cholesky(M, what)
 
 
-def solve_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Solve M X = B for the symmetrized SPD M, or NotSPD."""
-    return solve_symmetric_spd(sym(M), B, what)
-
-
 def solve_symmetric_spd(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """``solve_spd`` for an M that is already exactly symmetric; M and B may
+    """Solve M X = B for the exactly symmetric SPD M, or NotSPD; M and B may
     be stacks of matrices.
 
     Cholesky checks M, then one LU solve (numpy has no triangular solve,
@@ -196,7 +190,7 @@ def solve(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def inv_spd(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    return sym(solve_spd(M, np.eye(M.shape[0]), what))
+    return sym(solve_symmetric_spd(sym(M), np.eye(M.shape[0]), what))
 
 
 def is_spd(M: np.ndarray) -> bool:
@@ -227,11 +221,6 @@ def eigh(M: np.ndarray):
             raise NumericError("symmetric eigendecomposition did not converge") from exc
 
 
-def eigh_sym(M: np.ndarray):
-    """``eigh`` of the symmetrized input."""
-    return eigh(sym(M))
-
-
 def psd_spectrum(M: np.ndarray, what: str, eig=eigvalsh_sym) -> np.ndarray:
     """Ascending eigenvalues eig(M) of the finite M; NotSPD if the lowest lies
     below −PSD_RTOL·max(1, |λ_max|)."""
@@ -253,7 +242,7 @@ def truncated_sqrt(M: np.ndarray) -> np.ndarray:
     Eigenvalues at or below 1e-12 times the largest are dropped, so S has
     exactly the numerical rank of M as its column count (possibly zero).
     """
-    w, U = eigh_sym(M)
+    w, U = eigh(sym(M))
     w = np.clip(w, 0.0, None)
     keep = w > 1e-12 * (w[-1] if w.size else 0.0)
     return U[:, keep] * np.sqrt(w[keep])
@@ -283,9 +272,17 @@ def thompson_distance(P: np.ndarray, Q: np.ndarray) -> float:
     return max(map(abs, log_eigenvalues(P, Q)))
 
 
-def rank_from_singular_values(M: np.ndarray) -> int:
-    """Numerical rank: the count of singular values above RANK_REL_TOL·σ_max."""
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
+def krylov_rank(A: np.ndarray, X: np.ndarray, N: int) -> int:
+    """Numerical rank of [X̂_0, ..., X̂_{N-1}], X̂_0 = X/max|X| and X̂_{k+1} =
+    A X̂_k/max|A X̂_k| (a zero block stays zero): the count of its singular
+    values above RANK_REL_TOL·σ_max. Every block has largest entry 1, so
+    scaling A or X leaves the rank unchanged. A is first scaled by a power
+    of two, which changes no block short of underflow and keeps A X̂_k finite."""
+    A = A * math.ldexp(1.0, -math.frexp(abs(A).max())[1])
+    blocks = []
+    for _ in range(N):
+        top = abs(X).max(initial=0.0)
+        blocks.append(X / top if top > 0.0 else X)
+        X = A @ blocks[-1]
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.count_nonzero(s > RANK_REL_TOL * s.max(initial=0.0)))

@@ -174,7 +174,7 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         H_N[i * p:(i + 1) * p, (i + 1) * r:] = CR_N[:, :(N - 1 - i) * r]
     DD_N = np.kron(np.eye(N), model.D @ model.D.T)
     G_N = _linalg.sym(DD_N + H_N @ H_N.T)
-    G_inv_O = _linalg.solve_spd(G_N, O_N, "block innovation covariance")
+    G_inv_O = _linalg.solve_symmetric_spd(G_N, O_N, "block innovation covariance")
     Omega_N = _linalg.sym(O_N.T @ G_inv_O)
     if N >= n and not _linalg.is_spd(Omega_N):
         raise NotSPD(f"Omega_N is not numerically positive definite at N={N}, "
@@ -184,7 +184,7 @@ def _lifted_system(model: NormalizedModel, N: int) -> DownsampledSystem:
         L_N[i * n:(i + 1) * n, (i + 1) * r:] = R_N[:, :(N - 1 - i) * r]
     J_N = powers_matrix(model, N) - L_N @ H_N.T @ G_inv_O
     L_Z = _linalg.cholesky_spd(
-        np.eye(N * r) + H_N.T @ _linalg.solve_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
+        np.eye(N * r) + H_N.T @ _linalg.solve_symmetric_spd(DD_N, H_N, "D_N D_Nᵀ"), "Z")
     Y = _linalg.solve(L_Z, L_N.T, "Z")
     T = Y.T @ Y  # one symmetric product: exactly symmetric and PSD
     t_max = _linalg.eigvalsh_sym(T)[-1]
@@ -259,9 +259,11 @@ def find_phi_N(ds: DownsampledSystem) -> float:
     where the map's domain ends.
 
     At N >= n the build has required both to be PD (it raises NotSPD
-    otherwise). Below n the rank comes from R_N's singular values: a
-    Cholesky of the formed W(0) can pass on a rank-deficient R_N through
-    rounding.
+    otherwise). Below n the rank of R_N is taken on its blocks A^k B,
+    each scaled to largest entry 1 (``_linalg.krylov_rank``, the test
+    ``NormalizedModel`` runs at N = n), so it does not depend on the
+    scale of A; a Cholesky of the formed W(0) could pass on a
+    rank-deficient R_N through rounding.
 
     Raises
     ------
@@ -274,7 +276,7 @@ def find_phi_N(ds: DownsampledSystem) -> float:
         unobservable model (C scaled by 1e-160, say) makes it do.
     """
     n = ds.model.n
-    if ds.N < n and _linalg.rank_from_singular_values(reachability_matrix(ds.model, ds.N)) < n:
+    if ds.N < n and _linalg.krylov_rank(ds.model.A, ds.model.B, ds.N) < n:
         raise SearchFailed(f"R_N has rank below n={n} at N={ds.N}; W is singular for every phi")
     try:
         L = _linalg.cholesky_spd(ds.Omega_N, "Omega_N")

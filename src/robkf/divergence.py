@@ -45,9 +45,6 @@ __all__ = [
     "phi_upper_bound",
 ]
 
-# Means are considered equal when they differ by at most this, per entry.
-MEAN_TOL = 1e-12
-
 # solve_theta returns theta with |gamma - c| <= THETA_RTOL * c.
 THETA_RTOL = 1e-10
 # Relative gap kept below the tau < 1 domain boundary theta (1-tau) sigma1(P) = 1.
@@ -262,7 +259,7 @@ def solve_theta(P: np.ndarray, c: float, tau: float) -> float:
     c = _scalar(c, "radius c")
     if not c > 0.0:
         raise DomainViolation(f"radius c must be positive, got {c}")
-    d = _psd_spectrum(P, lambda M: _linalg.eigh_sym(M)[0])
+    d = _psd_spectrum(P, lambda M: _linalg.eigh(_linalg.sym(M))[0])
     if d[-1] <= 0.0:
         raise NotSPD("P is numerically zero")
     if c == math.inf:
@@ -437,7 +434,9 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
     f.cov⁻¹ for tau < 1, +inf where it passes the largest double (its
     norm comes from the halved difference by math.hypot, within 1e-15
     relative of the direct sum of squares); at tau = 1 any nonzero mean
-    difference makes the divergence +inf. Invariant under the choice of
+    difference makes the divergence +inf. Means count as equal only when
+    they are exactly equal: no tolerance, so a mean difference counts at
+    any scale of the covariances. Invariant under the choice of
     symmetric factor of f.cov. At tau = 0 this is twice the textbook Gaussian KL. The
     covariance part is evaluated in u = log lam, from its power series where
     the closed forms above cancel (lam near 1). The lam are the squared
@@ -453,8 +452,7 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         raise DimensionMismatch(
             f"densities have different dimensions {f_tilde.dim} and {f.dim}"
         )
-    dm = 0.5 * f.mean - 0.5 * f_tilde.mean  # half the difference: finite for finite means
-    means_equal = np.max(np.abs(dm), initial=0.0) <= 0.5 * MEAN_TOL
+    means_equal = np.array_equal(f.mean, f_tilde.mean)
     if tau == 1.0 and not means_equal:
         return float("inf")
     coef = _series_coefficients(tau)
@@ -464,6 +462,7 @@ def tau_divergence(f_tilde: GaussianDensity, f: GaussianDensity, tau: float) -> 
         cov_part = math.inf
     mean_part = 0.0
     if not means_equal:
+        dm = 0.5 * f.mean - 0.5 * f_tilde.mean  # half the difference: finite for finite means
         # twice the norm of the whitened half difference, which math.hypot keeps finite
         norm = 2.0 * math.hypot(*_linalg.solve(_linalg.cholesky_spd(f.cov, "cov"), dm, "cov"))
         mean_part = norm * norm / (1.0 - tau)

@@ -46,9 +46,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# B Dᵀ entries at or below this are treated as structurally zero.
-CROSS_COV_TOL = 1e-12
-
 _FIELDS = ("A", "B", "C", "D", "x0_mean", "V0")
 
 
@@ -158,9 +155,10 @@ class StateSpaceModel:
 
 
 def _cross_covariance(model: StateSpaceModel) -> float:
-    """max |B Dᵀ| when the noises count as correlated (above CROSS_COV_TOL), else 0."""
-    cross = float(np.max(np.abs(model.B @ model.D.T), initial=0.0))
-    return cross if cross > CROSS_COV_TOL else 0.0
+    """max |B Dᵀ|, nonzero exactly when the noises are correlated;
+    DomainViolation if B Dᵀ leaves the double range."""
+    with _linalg.overflow_as(DomainViolation, "B Dᵀ leaves the double range"):
+        return float(np.max(np.abs(model.B @ model.D.T), initial=0.0))
 
 
 def _require_uncorrelated(model: StateSpaceModel) -> None:
@@ -172,20 +170,23 @@ def _require_uncorrelated(model: StateSpaceModel) -> None:
 
 @dataclass(frozen=True)
 class NormalizedModel(StateSpaceModel):
-    """Model with uncorrelated noises (B Dᵀ = 0, absolute tol 1e-12 per
-    entry), reachable (A, B) and observable (A, C): the contraction
-    theorem's hypothesis, however the instance was built. Raises
-    ModelError for correlated noises, NotReachable (NotObservable) when
-    R_n (O_n) has rank below n by its singular values.
+    """Model with uncorrelated noises (every entry of B Dᵀ exactly zero),
+    reachable (A, B) and observable (A, C): the contraction theorem's
+    hypothesis, however the instance was built. Raises ModelError for
+    correlated noises (DomainViolation if B Dᵀ leaves the double range),
+    NotReachable (NotObservable) when the Krylov matrix of (A, B) (of
+    (Aᵀ, Cᵀ)) has rank below n with each block scaled to largest entry 1
+    (``_linalg.krylov_rank``), so that neither test depends on the units
+    of A, B or C.
     """
 
     def __post_init__(self):
         super().__post_init__()
         _require_uncorrelated(self)
         n = self.n
-        if _linalg.rank_from_singular_values(reachability_matrix(self, n)) < n:
+        if _linalg.krylov_rank(self.A, self.B, n) < n:
             raise NotReachable("(A, B) is not reachable after normalization")
-        if _linalg.rank_from_singular_values(observability_matrix(self, n)) < n:
+        if _linalg.krylov_rank(self.A.T, self.C.T, n) < n:
             raise NotObservable("(A, C) is not observable")
 
 
@@ -229,8 +230,8 @@ def powers_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
 def normalize(model: StateSpaceModel) -> NormalizedModel:
     """Decouple process and measurement noise.
 
-    A NormalizedModel is returned as it is. Otherwise, if B Dᵀ already
-    vanishes, the matrices pass through unchanged.
+    A NormalizedModel is returned as it is. Otherwise, if every entry of
+    B Dᵀ is exactly zero, the matrices pass through unchanged.
     Otherwise the state equation is rewritten with
 
         Ã = A − B Dᵀ (D Dᵀ)⁻¹ C,
@@ -245,7 +246,8 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
     Raises
     ------
     NotReachable, NotObservable
-        If the transformed pair fails its rank test (see NormalizedModel).
+        If the transformed pair fails its rank test, taken on Krylov
+        blocks scaled to largest entry 1 (see NormalizedModel).
     DomainViolation
         If B Bᵀ, B Dᵀ, Ã or B̃ B̃ᵀ leaves the double range
         (``_linalg.overflow_as``).
@@ -261,7 +263,7 @@ def normalize(model: StateSpaceModel) -> NormalizedModel:
     with _linalg.overflow_as(DomainViolation,
                              "normalized process noise B̃ B̃ᵀ or Ã leaves the double range"):
         BBt, BDt, DDt = model.noise_covariances()
-        W = _linalg.solve_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
+        W = _linalg.solve_symmetric_spd(DDt, np.hstack([model.C, BDt.T]), "D Dᵀ")
         A_t = model.A - BDt @ W[:, :n]
         Sigma = _linalg.sym(BBt - BDt @ W[:, n:])
     B_hat = _linalg.truncated_sqrt(Sigma)

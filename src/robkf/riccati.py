@@ -233,7 +233,7 @@ class FixedPointReport:
 
 def _observation_information(model: StateSpaceModel) -> np.ndarray:
     DDt = model.D @ model.D.T
-    return _linalg.sym(model.C.T @ _linalg.solve_spd(DDt, model.C, "D Dᵀ"))
+    return _linalg.sym(model.C.T @ _linalg.solve_symmetric_spd(DDt, model.C, "D Dᵀ"))
 
 
 def _gain_and_prediction(model: StateSpaceModel, V: np.ndarray, noise):

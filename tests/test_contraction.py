@@ -711,6 +711,19 @@ def test_certified_budgets_give_one_stable_fixed_point(n, correlated):
             assert max(fp.spectral_radius_closed_loop for fp in fps) < 1.0
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_certify_is_unchanged_by_the_noise_units(tau):
+    # (B, D, V0) -> (sB, sD, s²V0) scales every covariance by s² and theta by
+    # 1/s²; at s = 1e-7 the cross term B Dᵀ is 2.8e-14, still correlated noise
+    model = random_model(np.random.default_rng(3), 3, 1, True)
+    ref = certify(model, tau)
+    for s in (1e-150, 1e-7, 1.0, 1e150):
+        cert = certify(StateSpaceModel(A=model.A, B=s * model.B, C=model.C, D=s * model.D,
+                                       x0_mean=model.x0_mean, V0=s * s * model.V0), tau)
+        assert cert.c_max == pytest.approx(ref.c_max, rel=1e-12)
+        assert cert.theta_bar * s * s == pytest.approx(ref.theta_bar, rel=1e-12)
+
+
 def test_certify_risk_sensitive(example_model):
     cert = certify(example_model, 1.0, mode="risk_sensitive")
     assert cert.c_max is None

@@ -92,6 +92,15 @@ def test_divergence_of_means_past_the_double_range_is_inf(m_tilde, m, tau):
     assert got == np.inf
 
 
+@pytest.mark.parametrize("tau, want", [(0.0, 1e4), (0.5, 2e4), (1.0, np.inf)])
+def test_divergence_counts_a_mean_difference_at_any_scale(tau, want):
+    # Δm = 1e-13 is 100 standard deviations of the 1e-30 I covariance:
+    # (1 - tau)⁻¹ Δmᵀ K⁻¹ Δm = 1e4 / (1 - tau), and +inf at tau = 1
+    got = tau_divergence(GaussianDensity(mean=[1e-13, 0.0], cov=1e-30 * np.eye(2)),
+                         GaussianDensity(mean=np.zeros(2), cov=1e-30 * np.eye(2)), tau)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_divergence_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         tau_divergence(GaussianDensity(mean=np.zeros(2), cov=np.eye(2)),

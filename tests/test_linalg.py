@@ -220,16 +220,17 @@ def _example(a=1.0, b=1.0, c=1.0, d=1.0):
                            V0=np.eye(2))
 
 
-def _correlated(b):
-    """The README A and C with the correlated noise B = b·[[1, 1], [0, 1]], D = [[1, 1]]."""
+def _correlated(b, d=1.0):
+    """The README A and C with the correlated noise B = b·[[1, 1], [0, 1]], D = d·[[1, 1]]."""
     A, _, C, _ = example_matrices()
-    return StateSpaceModel(A=A, B=b * np.array([[1.0, 1.0], [0.0, 1.0]]), C=C, D=[[1.0, 1.0]],
-                           x0_mean=np.zeros(2), V0=np.eye(2))
+    return StateSpaceModel(A=A, B=b * np.array([[1.0, 1.0], [0.0, 1.0]]), C=C,
+                           D=[[d, d]], x0_mean=np.zeros(2), V0=np.eye(2))
 
 
 # With A scaled by 1e160, A P Aᵀ passes the largest double at P = I; with B by
 # 1e160, B Bᵀ; with C by 1e-160, phi_N's J_N Omega_N⁻¹ J_Nᵀ; with D by 1e160, D Dᵀ;
-# with the correlated B by 1e200, normalize's B Bᵀ.
+# with the correlated B by 1e200, normalize's B Bᵀ; with it by 1e307 and D by
+# 100, B Dᵀ, which the information-form maps test too.
 _PAST_THE_RANGE = {
     "gain": (lambda: gain(_example(a=1e160), np.eye(2)),
              DomainViolation, "gain-form step at V"),
@@ -256,6 +257,9 @@ _PAST_THE_RANGE = {
     "model_DDt": (lambda: _example(d=1e160), ModelError, "D Dᵀ"),
     "normalize": (lambda: normalize(_correlated(1e200)),
                   DomainViolation, "normalized process noise B̃ B̃ᵀ or Ã"),
+    "normalize_BDt": (lambda: normalize(_correlated(1e307, 100.0)), DomainViolation, "B Dᵀ"),
+    "standard_riccati_BDt": (lambda: standard_riccati(_correlated(1e307, 100.0), np.eye(2)),
+                             DomainViolation, "B Dᵀ"),
 }
 
 

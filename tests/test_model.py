@@ -105,7 +105,7 @@ def test_normalize_correlated_noise(make_model):
     assert np.max(np.abs(BDt)) > 1e-6  # the case is non-trivial
 
     nm = normalize(model)
-    assert np.max(np.abs(nm.B @ nm.D.T)) <= 1e-12
+    assert np.max(np.abs(nm.B @ nm.D.T)) == 0.0
     DDt = model.D @ model.D.T
     proj = np.eye(model.m) - model.D.T @ np.linalg.solve(DDt, model.D)
     np.testing.assert_allclose(nm.B @ nm.B.T, model.B @ proj @ model.B.T, atol=1e-10)
@@ -137,6 +137,83 @@ def test_normalize_zero_b_not_reachable():
 def test_normalize_unobservable():
     A, B, _, D = example_matrices()
     model = StateSpaceModel(A=A, B=B, C=np.zeros((1, 2)), D=D,
+                            x0_mean=np.zeros(2), V0=np.eye(2))
+    with pytest.raises(NotObservable):
+        normalize(model)
+
+
+def test_normalize_rank_tests_ignore_the_scale_of_A():
+    # B alone has rank 2, so A = diag(1e100, 1.2) cannot make the pair unreachable
+    _, B, C, D = example_matrices()
+    model = StateSpaceModel(A=np.diag([1e100, 1.2]), B=B, C=C, D=D,
+                            x0_mean=np.zeros(2), V0=np.eye(2))
+    assert isinstance(normalize(model), NormalizedModel)
+    model = random_model(np.random.default_rng(6), n=6, p=1)
+    for a in (1e2, 1e-2):
+        scaled = StateSpaceModel(A=a * model.A, B=model.B, C=model.C, D=model.D,
+                                 x0_mean=model.x0_mean, V0=model.V0)
+        assert isinstance(normalize(scaled), NormalizedModel)
+
+
+@pytest.mark.parametrize("A, B, C, D", [
+    # A² passes the largest double
+    (1e200 * np.eye(3) + np.diag([0.0, 1e199, 2e199]), np.eye(3), [[1.0, 1.0, 1.0]],
+     [[1.0, 1.0, 1.0]]),
+    # so does A times the unit-scaled B
+    (1e308 * np.array([[1.0, 1.0], [0.0, 1.0]]), example_matrices()[1], [[1.0, 1.0]],
+     example_matrices()[3]),
+])
+def test_normalize_rank_tests_keep_the_blocks_of_a_huge_A_finite(A, B, C, D):
+    # the suite turns a numpy RuntimeWarning into an error
+    n = len(A)
+    model = StateSpaceModel(A=A, B=B, C=C, D=D, x0_mean=np.zeros(n), V0=np.eye(n))
+    assert isinstance(normalize(model), NormalizedModel)
+
+
+def _pbh_reachable(A, B):
+    """Popov-Belevitch-Hautus: [λI − A, B] has full row rank at every
+    eigenvalue λ of A, with A and B each scaled to unit 2-norm."""
+    n = A.shape[0]
+    A = A / np.linalg.norm(A, 2) if A.any() else A
+    B = B / np.linalg.norm(B, 2) if B.any() else B
+    return all(np.linalg.svd(np.hstack([lam * np.eye(n) - A, B]), compute_uv=False)[-1] > 1e-8
+               for lam in np.linalg.eigvals(A))
+
+
+def test_rank_decisions_match_a_pbh_reference_at_any_scale_of_A():
+    # a third of the pairs keep their last k states out of reach (block
+    # triangular, permuted), a third have A scaled by 10^u, u in [-3, 3]; each
+    # pair is tested as (A, B) for reachability and as (Aᵀ, Bᵀ) for observability
+    rng = np.random.default_rng(2024)
+    for i in range(1200):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        if i % 3 == 0:
+            k = int(rng.integers(1, n + 1))
+            A[n - k:, :n - k] = 0.0
+            B[n - k:] = 0.0
+            order = rng.permutation(n)
+            A, B = A[np.ix_(order, order)], B[order]
+        if i // 3 % 3 == 0:
+            A = A * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = _pbh_reachable(A, B)
+        decided = []
+        for pair in (dict(A=A, B=np.hstack([B, np.zeros((n, n))]), C=np.eye(n),
+                          D=np.hstack([np.zeros((n, m)), np.eye(n)])),
+                     dict(A=A.T, B=np.hstack([np.eye(n), np.zeros((n, m))]), C=B.T,
+                          D=np.hstack([np.zeros((m, n)), np.eye(m)]))):
+            try:
+                normalize(StateSpaceModel(**pair, x0_mean=np.zeros(n), V0=np.eye(n)))
+                decided.append(True)
+            except (NotReachable, NotObservable):
+                decided.append(False)
+        assert decided == [want, want], (i, n, m)
+
+
+def test_normalize_without_outputs_is_not_observable():
+    # C and D with no rows: the Krylov matrix of (Aᵀ, Cᵀ) is empty, of rank 0
+    A, B, _, _ = example_matrices()
+    model = StateSpaceModel(A=A, B=B, C=np.zeros((0, 2)), D=np.zeros((0, 3)),
                             x0_mean=np.zeros(2), V0=np.eye(2))
     with pytest.raises(NotObservable):
         normalize(model)

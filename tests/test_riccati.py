@@ -174,6 +174,18 @@ def test_information_form_maps_need_uncorrelated_noise(make_model):
         risk_sensitive_map(model, np.eye(2), np.zeros((2, 2)))
 
 
+def test_information_form_maps_reject_a_small_cross_term(make_model):
+    # with (B, D) scaled by 1e-7, max |B Dᵀ| is 2.8e-14: still correlated noise,
+    # whose information form would be a different map from the gain form's
+    model = make_model(np.random.default_rng(3), n=3, p=1, correlated=True)
+    small = StateSpaceModel(A=model.A, B=1e-7 * model.B, C=model.C, D=1e-7 * model.D,
+                            x0_mean=model.x0_mean, V0=1e-14 * model.V0)
+    with pytest.raises(ModelError, match=r"max \|B Dᵀ\| = 2\.797e-14"):
+        standard_riccati(small, 1e-14 * np.eye(3))
+    with pytest.raises(ModelError, match="normalize"):
+        risk_sensitive_map(small, 1e-14 * np.eye(3), np.zeros((3, 3)))
+
+
 def test_robust_step_equals_phi_form_at_tau_zero(example_normalized):
     P = np.array([[2.0, 0.3], [0.3, 1.5]])
     c = 0.08
