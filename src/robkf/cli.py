@@ -16,8 +16,9 @@ for the initial state x0 = x0_mean + chol(V0) z and the per-step noise
 v_k alike. Numbers are written in shortest round-trip decimal form, so
 re-reading a CSV reproduces the doubles exactly. Each trajectory's
 xhat columns are formatted for every row; its P, V and theta columns are
-formatted up to the end of the first period of its ``cycle``, and later
-rows reuse those strings, as ``run_filter`` replays the arrays.
+formatted up to the end of the first period of its ``cycle``, or up to
+its ``settled`` step, and later rows reuse those strings, as
+``run_filter`` replays the arrays.
 ``compare`` runs each filter of its panel through ``run_filter`` against
 one simulated trajectory, and its default panel certifies the model once
 for all three tau. A failed write of the output file or stream, help
@@ -43,7 +44,7 @@ import numpy as np
 from robkf.contraction import _certify_each, certify, thompson_metric
 from robkf.errors import (ConfigError, ModelError, ModelIOError, NumericError, OutputError,
                           RobkfError)
-from robkf.filters import compare_filters, load_observations, run_filter
+from robkf.filters import _replay, compare_filters, load_observations, run_filter
 from robkf.model import _read_json, load_model, simulate
 from robkf.riccati import FilterConfig
 
@@ -123,15 +124,17 @@ def _trajectory_block(ft) -> np.ndarray:
 def _trajectory_rows(ft) -> list:
     """The formatted rows of ``_trajectory_block(ft)``. Once (V, theta)_{j+p}
     repeats (V, theta)_j, row k > j + p holds the bits of row k - p in
-    every column but xhat, so those columns are formatted for rows
-    1 .. j + p only and reused after."""
+    every column but xhat, and once the run settled at step s, row k > s
+    those of row s (j, p = s - 1, 1), so those columns are formatted for
+    rows 1 .. j + p only and reused after."""
     block = _trajectory_block(ft)
     n, T = ft.estimates.shape[1], len(block)
-    stop = T if ft.cycle is None else min(T, sum(ft.cycle))
+    replay = _replay(ft.cycle, ft.settled)
+    stop = T if replay is None else min(T, sum(replay))
     xhat = [",".join(map(repr, row)) for row in block[:, :n].tolist()]
     rest = [",".join(map(repr, row)) for row in block[:stop, n:].tolist()]
     if stop < T:
-        j, period = ft.cycle
+        j, period = replay
         rest += [rest[j + (k - j) % period] for k in range(stop, T)]
     return [f"{x},{r}" for x, r in zip(xhat, rest)]
 

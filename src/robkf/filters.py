@@ -13,10 +13,11 @@ riccati module, which the fixed-point iteration shares; ``FilterConfig``
 is exported by ``robkf.riccati`` and ``robkf``, not by this module.
 ``run_filter`` runs one config. Its covariance side reads no
 observation, so it comes first: ``riccati._walk`` steps the run until
-its (V, theta) repeats, and the run then copies its cycle over the
-remaining steps. The state updates follow, in the closed-loop form
+its (V, theta) repeats byte for byte or settles within the rounding of
+one step, and the run then copies its cycle, or its settled row, over
+the remaining steps. The state updates follow, in the closed-loop form
 xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-G_k y_k formed in one batch. For n <= 6 states the estimates come from
+G_k y_k formed in one batch. For n <= 9 states the estimates come from
 a log-depth affine prefix scan over those pairs (Hillis–Steele
 doubling; Blelloch, "Prefix sums and their applications", 1990): about
 log2 T batched products instead of T Python steps. Its rounding differs
@@ -49,8 +50,10 @@ __all__ = [
 ]
 
 # Runs of n <= _SCAN_MAX_N states take their estimates from ``_scan``: its
-# T log T n³ work overtakes the per-step loop between n = 8 and 12 at T = 1000.
-_SCAN_MAX_N = 6
+# T log T n³ work ties the per-step loop at n = 10 at T = 1000 (1.39 against
+# 1.51 ms at n = 9, 1.56 against 1.51 ms at n = 10, 1.86 against 1.53 ms at
+# n = 11; medians of 41 alternating calls, one BLAS thread, x86-64).
+_SCAN_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,18 @@ class FilterTrajectory:
                 first pair equal, bit for bit, to an earlier one,
                 (V_j, theta_j), with theta_0 = 0 (the fixed theta for the
                 risk-sensitive kind); None when no pair repeats within
-                the run. Every row from step j on repeats with that
-                period.
+                the run or the run settled first. Every row from step j
+                on repeats with that period.
+    settled   : the step k, when no pair had repeated by then, at which
+                (V_k, theta_k) first lay within the rounding of one step
+                of (V_{k-1}, theta_{k-1}) (see ``riccati._walk``: entries
+                within 4(n + p)·eps of the largest); None otherwise. The
+                run stops there, and every later row repeats row k: the
+                run is then no longer the step-by-step recursion bit for
+                bit after row k, but within 1e-12 of it, as each row's
+                largest entry error over its largest entry, on every
+                seeded run tried (1.6e-13 at the worst, where the recursion
+                contracts slowly).
     """
 
     config: FilterConfig
@@ -79,6 +92,7 @@ class FilterTrajectory:
     V_seq: np.ndarray
     theta_seq: np.ndarray
     cycle: tuple[int, int] | None
+    settled: int | None = None
 
     @property
     def steps(self) -> int:
@@ -96,12 +110,13 @@ def run_filter(
     robust run and a standard run agree exactly at k = 0 and separate
     as their covariance recursions do. Accepts T = 0 observations and
     returns the prior alone. The covariance side steps through
-    ``riccati._walk`` until the run has repeated or T steps are done, and
-    its cycle (see ``FilterTrajectory``) is then copied over the remaining
-    steps, all of it bit for bit the step-by-step recursion. The state
-    updates follow in the closed-loop form
+    ``riccati._walk`` until the run has repeated, has settled or T steps
+    are done, whichever comes first. Its cycle is then copied over the
+    remaining steps, bit for bit the step-by-step recursion, or its
+    settled row is, within 1e-12 of it (see ``FilterTrajectory``).
+    The state updates follow in the closed-loop form
     xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k, every A - G_k C and G_k y_k
-    formed in one batch. For n <= 6 states an affine prefix scan
+    formed in one batch. For n <= 9 states an affine prefix scan
     (``_scan``) forms every estimate in about log2 T batched products;
     they agree with the step-by-step update to about 1e-14 relative to
     1 + max|xhat| and are reproducible bit for bit on one platform and
@@ -140,17 +155,18 @@ def run_filter(
     V_seq = np.zeros((T + 1, n, n))
     theta_seq = np.zeros(T)
     V_seq[0] = model.V0
-    walk = _walk(model, config, model.V0)
-    k, cycle = 0, None
+    walk = _walk(model, config, model.V0, settle=True)
+    k, cycle, settled = 0, None, None
     with _linalg.overflow_as(DomainViolation, lambda: f"covariance P_{k + 1} leaves the double range"):
-        while k < T and cycle is None:
-            gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle = next(walk)
+        while k < T and cycle is None and settled is None:
+            gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle, settled = next(walk)
             k += 1
-    if cycle is not None:
-        j, period = cycle
-        replay = j + (np.arange(k, T) - j) % period
+    replay = _replay(cycle, settled)
+    if replay is not None:
+        j, period = replay
+        rows = j + (np.arange(k, T) - j) % period
         for seq in (gains, P_seq, V_seq[1:], theta_seq):
-            seq[k:] = seq[replay]
+            seq[k:] = seq[rows]
     with _linalg.overflow_as(DomainViolation, "A - G_k C or G_k y_k leaves the double range"):
         F = model.A - gains @ model.C
         b = (gains @ y[:, :, None])[:, :, 0]
@@ -161,7 +177,16 @@ def run_filter(
             for k, (F_k, b_k, out) in enumerate(zip(F, b, estimates[1:]), 1):
                 xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
     return FilterTrajectory(config=config, estimates=estimates, gains=gains, P_seq=P_seq,
-                            V_seq=V_seq, theta_seq=theta_seq, cycle=cycle)
+                            V_seq=V_seq, theta_seq=theta_seq, cycle=cycle, settled=settled)
+
+
+def _replay(cycle: tuple[int, int] | None, settled: int | None) -> tuple[int, int] | None:
+    """(j, p) such that a run's rows from step j on repeat with period p: its
+    cycle, else (settled - 1, 1), the settled step's row copied over every
+    later one, else None."""
+    if cycle is not None:
+        return cycle
+    return None if settled is None else (settled - 1, 1)
 
 
 def _scan(F: np.ndarray, b: np.ndarray, estimates: np.ndarray) -> bool:

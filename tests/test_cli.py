@@ -17,6 +17,7 @@ import robkf
 from robkf import FilterConfig, cli, load_model, run_filter, simulate
 from robkf.cli import main
 from robkf.contraction import _certify_each
+from robkf.filters import _replay
 
 from conftest import example_matrices, precise_sensor_jordan_model, random_model
 
@@ -688,18 +689,40 @@ def test_cycling_csv_bytes_match_the_row_formatter(model_file, capsys):
     configs = [FilterConfig.standard()] + [
         FilterConfig.robust(tau, robkf.certify(model, tau).c_max) for tau in (0.0, 0.5, 1.0)]
     table = robkf.compare_filters(model, configs, steps, seed)
-    assert all(ft.cycle is not None and sum(ft.cycle) < steps for ft in table.runs)
+    assert all(sum(_replay(ft.cycle, ft.settled)) < steps for ft in table.runs)
     header = ["k"] + [name for label in table.labels
                       for name in cli._trajectory_columns(f"{label}_", 2)]
     assert main(["compare", "--model", model_file, "--steps", str(steps)]) == 0
     assert capsys.readouterr().out == _reference_csv(header, table.runs, steps)
 
     ft = run_filter(model, FilterConfig.robust(0.5, 0.1), simulate(model, steps, 2).observations)
-    assert ft.cycle is not None and sum(ft.cycle) < steps
+    assert sum(_replay(ft.cycle, ft.settled)) < steps
     assert main(["run", "--model", model_file, "--kind", "robust", "--tau", "0.5", "--c", "0.1",
                  "--steps", str(steps), "--seed", "2"]) == 0
     header = ["k"] + cli._trajectory_columns("", 2)
     assert capsys.readouterr().out == _reference_csv(header, [ft], steps)
+
+
+def test_csv_of_a_settled_run_repeats_the_settled_row(capsys):
+    # rows after the settled step are written from that step's strings: the
+    # arrays past it hold other numbers here, which the CSV does not show
+    n, steps, settled = 2, 8, 5
+    rng = np.random.default_rng(6)
+    arrays = dict(estimates=rng.normal(size=(steps + 1, n)), gains=np.zeros((steps, n, 1)),
+                  P_seq=rng.normal(size=(steps, n, n)), V_seq=rng.normal(size=(steps + 1, n, n)),
+                  theta_seq=rng.normal(size=steps))
+    ft = robkf.FilterTrajectory(config=FilterConfig.standard(), cycle=None, settled=settled,
+                                **arrays)
+    header = ["k"] + cli._trajectory_columns("", n)
+    cli._emit_csv(header, [ft], None)
+    out = capsys.readouterr().out
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    for name in ("P_seq", "theta_seq"):
+        arrays[name][settled:] = arrays[name][settled - 1]
+    arrays["V_seq"][settled + 1:] = arrays["V_seq"][settled]
+    replayed = robkf.FilterTrajectory(config=FilterConfig.standard(), cycle=None, **arrays)
+    assert out == _reference_csv(header, [replayed], steps)
+    assert out != _reference_csv(header, [ft], steps)
 
 
 def test_csv_replays_signed_zeros_from_the_cycle(capsys):
