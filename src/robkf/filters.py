@@ -13,22 +13,24 @@ riccati module, which the fixed-point iteration shares; ``FilterConfig``
 is exported by ``robkf.riccati`` and ``robkf``, not by this module.
 ``run_filter`` runs one config. Its covariance side reads no
 observation, so it comes first: ``riccati._walk`` steps the run until
-its (V, theta) repeats byte for byte or settles within the rounding of
-one step, and the run then copies its cycle, or its settled row, over
-the remaining steps. The state updates follow, in the closed-loop form
-xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every A - G_k C and
-G_k y_k formed in one batch. For n <= 9 states the estimates come from
-a log-depth affine prefix scan over those pairs (Hillis–Steele
-doubling; Blelloch, "Prefix sums and their applications", 1990): about
-log2 T batched products instead of T Python steps. Its rounding differs
-from the step-by-step update by about 1e-14 relative; larger n, and any
-scan that leaves the double range, take the step-by-step loop.
+its (V, theta) repeats byte for byte or settles at the rounding floor
+(see ``FilterTrajectory``), and the run then copies its cycle, or its
+settled row, over the remaining steps. The state updates follow, in the
+closed-loop form xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k with every
+A - G_k C and G_k y_k formed in one batch. For n <= 9 states the
+estimates come from a log-depth affine prefix scan over those pairs
+(Hillis–Steele doubling; Blelloch, "Prefix sums and their
+applications", 1990): about log2 T batched products instead of T
+Python steps. Its rounding differs from the step-by-step update by
+about 1e-14 relative; larger n, and any scan that leaves the double
+range, take the step-by-step loop.
 ``compare_filters`` is one ``run_filter`` per config against one
 simulated trajectory.
 """
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,6 +57,14 @@ __all__ = [
 # n = 11; medians of 41 alternating calls, one BLAS thread, x86-64).
 _SCAN_MAX_N = 9
 
+log = logging.getLogger(__name__)
+
+# A run whose last measured step size (see ``_Settle``) is above
+# _SETTLE_NEAR is far from settling: one of its steps in _SETTLE_STRIDE is
+# measured.
+_SETTLE_NEAR = 1e-6
+_SETTLE_STRIDE = 8
+
 
 @dataclass(frozen=True)
 class FilterTrajectory:
@@ -74,15 +84,21 @@ class FilterTrajectory:
                 the run or the run settled first. Every row from step j
                 on repeats with that period.
     settled   : the step k, when no pair had repeated by then, at which
-                (V_k, theta_k) first lay within the rounding of one step
-                of (V_{k-1}, theta_{k-1}) (see ``riccati._walk``: entries
-                within 4(n + p)·eps of the largest); None otherwise. The
-                run stops there, and every later row repeats row k: the
-                run is then no longer the step-by-step recursion bit for
-                bit after row k, but within 1e-12 of it, as each row's
-                largest entry error over its largest entry, on every
-                seeded run tried (1.6e-13 at the worst, where the recursion
-                contracts slowly).
+                the run first settled; None otherwise. It has settled when
+                the step to (V_k, theta_k) moved no entry by more than
+                m·eps, m = 4(n + p), in each state's own scale (|ΔV_ij|
+                over sqrt(V_ii V_jj), theta relative to itself), and the
+                drift that a contraction at the slower rate of its last two
+                steps would still add stays within the same bound (see
+                ``_Settle``); far from the floor only one step in
+                ``_SETTLE_STRIDE`` is measured, which can delay the
+                settle but never advance it. The run stops there, and
+                every later row repeats row k, so after row k it is no
+                longer the step-by-step recursion bit for bit. The drift
+                still to come is estimated, not bounded: on the seeded runs
+                of the tests the rows after k lay within 1.0e-13 of the
+                recursion in that scale, and a run whose contraction is too
+                slow to show within a few steps keeps stepping.
     """
 
     config: FilterConfig
@@ -113,7 +129,7 @@ def run_filter(
     ``riccati._walk`` until the run has repeated, has settled or T steps
     are done, whichever comes first. Its cycle is then copied over the
     remaining steps, bit for bit the step-by-step recursion, or its
-    settled row is, within 1e-12 of it (see ``FilterTrajectory``).
+    settled row is, close to it (see ``FilterTrajectory``).
     The state updates follow in the closed-loop form
     xhat_{k+1} = (A - G_k C) xhat_k + G_k y_k, every A - G_k C and G_k y_k
     formed in one batch. For n <= 9 states an affine prefix scan
@@ -155,12 +171,17 @@ def run_filter(
     V_seq = np.zeros((T + 1, n, n))
     theta_seq = np.zeros(T)
     V_seq[0] = model.V0
-    walk = _walk(model, config, model.V0, settle=True)
+    walk = _walk(model, config, model.V0)
+    settle = _Settle(model, config)
     k, cycle, settled = 0, None, None
     with _linalg.overflow_as(DomainViolation, lambda: f"covariance P_{k + 1} leaves the double range"):
         while k < T and cycle is None and settled is None:
-            gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle, settled = next(walk)
+            gains[k], P_seq[k], V_seq[k + 1], theta_seq[k], cycle = next(walk)
             k += 1
+            if cycle is None and settle(k, V_seq[k], V_seq[k - 1], theta_seq[k - 1]):
+                settled = k
+                log.debug("%s covariance recursion: (V, theta)_%d settled within %d eps of "
+                          "(V, theta)_%d", config.kind, k, settle.m, k - 1)
     replay = _replay(cycle, settled)
     if replay is not None:
         j, period = replay
@@ -178,6 +199,70 @@ def run_filter(
                 xhat = np.add(np.matmul(F_k, xhat, out=out), b_k, out=out)
     return FilterTrajectory(config=config, estimates=estimates, gains=gains, P_seq=P_seq,
                             V_seq=V_seq, theta_seq=theta_seq, cycle=cycle, settled=settled)
+
+
+class _Settle:
+    """The settle test of one run (see ``FilterTrajectory.settled``),
+    called after each step that closes no cycle.
+
+    m = 4(n + p) is a rounding model of one step: each entry of V_k comes
+    out of at most four rounded products in a row (A V Aᵀ, the gain's
+    C V Cᵀ and G S Gᵀ, the reweighting's U diag(w f(w)) Uᵀ), each a sum of
+    at most n + p terms, and a sum of d terms rounds by up to d·eps/2 of
+    its terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, §3.1); two steps so rounded can differ by twice that.
+    A step's size is the largest |V_ij - V_prev,ij| / sqrt(V_prev,ii V_prev,jj)
+    and |theta - theta_prev| / |theta_prev|, so rescaling a state leaves it
+    alone; a state without variance makes it NaN, and a difference past the
+    double range inf, and neither settles a run. Far from the floor, while
+    the last measured size is above _SETTLE_NEAR, one step in
+    _SETTLE_STRIDE is measured (about 6 µs each); a step left unmeasured
+    counts as inf, so no run settles with one among its last three. Near
+    it, every step is measured (about 2.5 µs) against the diagonal of the
+    step that came near, without a floating-point guard of its own: there
+    V has just moved by under 1e-6 of that scale, so neither the next
+    difference nor its scaled size comes near the double range.
+    """
+
+    def __init__(self, model: StateSpaceModel, config: FilterConfig):
+        self.m = 4 * (model.n + model.p)
+        self.bound = self.m * np.finfo(float).eps
+        self.theta = 0.0 if config.theta is None else config.theta
+        self.sizes = (math.inf,) * 3
+        self.measure_at, self.inverse_scale = 1, None
+
+    def __call__(self, k: int, V: np.ndarray, V_prev: np.ndarray, theta: float) -> bool:
+        """Whether step k, to (V, theta) from V_prev and the theta of the
+        call before, settles the run."""
+        theta_prev, self.theta = self.theta, theta
+        size = math.inf
+        if k >= self.measure_at:
+            inverse_scale = self.inverse_scale
+            if inverse_scale is None:
+                with np.errstate(all="ignore"):
+                    scale = np.sqrt(np.diagonal(V_prev))
+                    inverse_scale = 1 / np.multiply.outer(scale, scale)
+                    size = float((np.abs(V - V_prev) * inverse_scale).max())
+            else:
+                size = float((np.abs(V - V_prev) * inverse_scale).max())
+            if theta != theta_prev:
+                size = max(size, abs(theta - theta_prev) / abs(theta_prev) if theta_prev else math.inf)
+            near = size <= _SETTLE_NEAR
+            self.inverse_scale = inverse_scale if near else None
+            self.measure_at = k + (1 if near else _SETTLE_STRIDE)
+        self.sizes = (*self.sizes[1:], size)
+        return _has_settled(*self.sizes, self.bound)
+
+
+def _has_settled(older: float, prev: float, step: float, bound: float) -> bool:
+    """Whether a run whose last three step sizes (see ``_Settle``) were
+    older, prev and step has settled within bound: its step is at most
+    bound, and so is the drift step·r/(1 - r) still to come were it to
+    contract at the slower rate r of its last two steps, prev/older and
+    step/prev. Three finite sizes are needed, so neither the first step
+    nor the robust kind's cold first step (theta_0 = 0) settles a run."""
+    rate = bound / (step + bound)  # the largest r with step·r/(1 - r) <= bound
+    return math.isfinite(older) and step <= bound and step <= rate * prev and prev <= rate * older
 
 
 def _replay(cycle: tuple[int, int] | None, settled: int | None) -> tuple[int, int] | None:

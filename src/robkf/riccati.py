@@ -13,13 +13,11 @@ the one step of the recursions: one gain-form step
 (``predict_covariance``) of a config's n×n V, then ``_reweight``.
 ``_walk`` is the one loop over it: it starts a run at V symmetrized with
 its theta_0, steps it, and marks its cycle, the first byte-exact repeat
-of its (V, theta), and, when asked, its settled step, the first whose
-(V, theta) lies within the rounding of one step of the one before. A
-filter run (``filters.run_filter``) follows it until the run has
-repeated or settled, and stores and replays the steps itself;
-``iterate_to_fixed_point`` follows it, the settle untested, until a step
-meets tol or closes the cycle; the single-step recursions call
-``_covariance_step`` once.
+of its (V, theta). A filter run (``filters.run_filter``) follows it
+until the run has repeated or settled, and stores and replays the steps
+itself;
+``iterate_to_fixed_point`` follows it until a step meets tol or closes
+the cycle; the single-step recursions call ``_covariance_step`` once.
 So a fixed point, a single step and a filter run are the same
 arithmetic, and take a correlated model (B Dᵀ ≠ 0) as given;
 ``filters.compare_filters`` is a ``run_filter`` per config.
@@ -155,7 +153,7 @@ def _covariance_step(model: StateSpaceModel, config: FilterConfig, noise,
     return G, P, V, theta
 
 
-def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray, settle: bool = False):
+def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray):
     """config's covariance recursion started at the conditional covariance V,
     without end.
 
@@ -163,24 +161,11 @@ def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray, settle: b
     theta_{k+1}) through ``_covariance_step`` and reads nothing else. V_0
     is V symmetrized, and theta_0 is the risk-sensitive kind's fixed theta
     and 0 otherwise, so the robust kind's cold first step never counts as
-    a repeat or as settled. Yields, after each step, ``_covariance_step``'s
-    (G, P, V, theta), the cycle and the settled step. The cycle is None
-    until the state after step j + p repeats the one after step j byte for
-    byte, then (j, p) for good; from step j on the run repeats with period
-    p. With settle, each step that closes no cycle while none has been
-    found is also tested against the one before: the settled step is None
-    until a step k whose state lies within the rounding of one step of the
-    state before it, max|V_k − V_{k−1}| <= m·eps·max|V_{k−1}| and
-    |theta_k − theta_{k−1}| <= m·eps·|theta_{k−1}|, then k for good. Its
-    m = 4(n + p) is a rounding model of one step: each entry of V_k comes
-    out of at most four rounded products in a row (A V Aᵀ, the gain's
-    C V Cᵀ and G S Gᵀ, the reweighting's U diag(w f(w)) Uᵀ, its
-    eigendecomposition counted with it), each a sum of at most n + p terms,
-    and a sum of d terms rounds by up to d·eps/2 of its terms' magnitudes
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1);
-    two steps so rounded can differ by twice that. The cycle and the
-    settled step are logged at debug level when found. Nothing is stepped
-    before the first value is asked for.
+    a repeat. Yields, after each step, ``_covariance_step``'s (G, P, V,
+    theta) and the cycle: None until the state after step j + p repeats
+    the one after step j byte for byte, then (j, p) for good; from step j
+    on the run repeats with period p. The cycle is logged at debug level
+    when found. Nothing is stepped before the first value is asked for.
     Its consumers enter ``_linalg.overflow_as`` once around their whole loop
     over it, not here, where the guard would span a yield; a step that
     leaves the double range then raises the DomainViolation they name.
@@ -188,26 +173,16 @@ def _walk(model: StateSpaceModel, config: FilterConfig, V: np.ndarray, settle: b
     theta = 0.0 if config.theta is None else config.theta
     V = _linalg.sym(V)
     seen = {(V.tobytes(), theta): 0}
-    cycle = settled = None
-    m = 4 * (model.n + model.p)
-    bound = m * np.finfo(float).eps
+    cycle = None
     noise = model.noise_covariances()
     for k in itertools.count(1):
-        V_prev, theta_prev = V, theta
         G, P, V, theta = _covariance_step(model, config, noise, V, theta)
         j = seen.setdefault((V.tobytes(), theta), k)
         if cycle is None and j < k:
             cycle = (j, k - j)
             log.debug("%s covariance recursion: (V, theta)_%d repeats (V, theta)_%d "
                       "(period %d)", config.kind, k, j, k - j)
-        elif (settle and cycle is None and settled is None
-              and abs(theta - theta_prev) <= bound * abs(theta_prev)
-              # halves, so that no difference of two finite entries overflows
-              and np.abs(0.5 * V - 0.5 * V_prev).max() <= 0.5 * bound * np.abs(V_prev).max()):
-            settled = k
-            log.debug("%s covariance recursion: (V, theta)_%d settled within %d eps of "
-                      "(V, theta)_%d", config.kind, k, m, k - 1)
-        yield G, P, V, theta, cycle, settled
+        yield G, P, V, theta, cycle
 
 
 @dataclass(frozen=True)
@@ -407,15 +382,14 @@ def iterate_to_fixed_point(
     prediction is propagated from it, then each cycle reweights it as
     ``FilterConfig(kind=stepper, tau=tau, c=c, theta=theta)`` does in a
     filter run. The steps come from the same gain-form kernel as
-    ``filters.run_filter``, and the same loop, ``_walk``, which here tests
-    no settle: started at model.V0 the k-th iterate is row k of a filter
-    run bit for bit up to the step where the run stops, and the cycle is
-    the run's when it closes before the run settles. Stops when
-    d_T(P_k, P_{k+1}) <= tol, or at a cycle: once the state (V, theta)
-    after iteration j + p repeats the one after iteration j byte for byte,
-    every later step distance repeats one already measured but for the
-    step closing the cycle, so one more step decides. A period-1 cycle is
-    an exact fixed point; its closing step is 0.
+    ``filters.run_filter``, and the same loop, ``_walk``: started at
+    model.V0 the k-th iterate is row k of a filter run bit for bit up to
+    the run's stop, and the cycle is the run's where it closes before the
+    run settles. Stops when d_T(P_k, P_{k+1}) <= tol, or at a
+    cycle: once the state (V, theta) after iteration j + p repeats the one
+    after iteration j byte for byte, every later step distance repeats one
+    already measured but for the step closing the cycle, so one more step
+    decides. A period-1 cycle is an exact fixed point; its closing step is 0.
 
     Returns
     -------
@@ -456,7 +430,7 @@ def iterate_to_fixed_point(
     walk = enumerate(_walk(model, config, V), 1)
     with _linalg.overflow_as(DomainViolation,
                              lambda: f"covariance P_{len(steps) + 1} leaves the double range"):
-        for iterations, (G_k, P_star, V_next, th, found, _) in walk:
+        for iterations, (G_k, P_star, V_next, th, found) in walk:
             V_k, V = V, V_next
             try:
                 dist = math.inf if P_prev is None else _linalg.thompson_distance(P_prev, P_star)
